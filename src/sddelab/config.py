@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .grids import DelayAlignmentError, make_grid
 from .presets import COEFFICIENT_PRESETS, ETA_PRESETS
 
 ENV_PREFIX = "SDDELAB_"
@@ -190,6 +191,10 @@ def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
     )
     if "r" in cfg:
         _require(cfg["r"] >= 0.0, f"r must be >= 0, got {cfg['r']}")
+        try:
+            make_grid(cfg["horizon"], cfg["n_main"], cfg["r"])
+        except DelayAlignmentError as exc:
+            raise ConfigError(str(exc)) from None
     if "alpha" in cfg:
         alpha, hurst = cfg["alpha"], cfg["hurst"]
         _require(0.0 < alpha < 0.5, f"alpha must lie in (0, 1/2), got {alpha}")

@@ -10,16 +10,15 @@ the roughness functional Lambda_alpha(W).
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .fbm import FbmConfig, generate_fbm
 from .grids import InitialSegment, SamplePath, make_grid
 from .norms import lambda_alpha, norm_alpha_infty
-from .solver import CoefficientSet, SolverConfig, solve_euler
+from .solver import CoefficientSet, SolverConfig, _check_inputs, _euler_steps
 
 __all__ = [
     "ConvergenceReport",
@@ -33,6 +32,10 @@ __all__ = [
     "evaluate_convergence_gates",
     "default_delays",
 ]
+
+# drivers stepped together by lp_convergence_study; bounds the batch array
+# to about 10 MB at the default n_main = 4096 with the 1/4 largest delay
+_SEED_CHUNK = 32
 
 
 def default_delays(T: float = 1.0, k_range: Sequence[int] = range(2, 9)) -> tuple[float, ...]:
@@ -70,49 +73,83 @@ class ConvergenceReport:
             raise ValueError("distances must be nonnegative")
 
 
-def _lp_summaries(dist: np.ndarray, p_list: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    n_seeds = dist.shape[0]
-    means = np.empty((len(p_list), dist.shape[1]))
-    errs = np.empty_like(means)
-    for i, p in enumerate(p_list):
-        powered = dist ** p
-        means[i] = powered.mean(axis=0)
-        errs[i] = powered.std(axis=0, ddof=1) / np.sqrt(n_seeds) if n_seeds > 1 else 0.0
-    return means, errs
+def _delay_distances(
+    coeffs: CoefficientSet,
+    eta_fn: Callable[[float], float],
+    drivers: Sequence[SamplePath],
+    alpha: float,
+    delays: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alpha-norm and sup distances of X vs each X^r, plus Lambda_alpha, per driver.
+
+    The drivers share one main grid.  X and every X^r of every driver are
+    stepped together as the rows of one (driver, delay) batch, with each
+    history right-aligned at the longest delay.
+    """
+    grid0 = drivers[0].grid
+    T, n_main, h = grid0.t_end, grid0.n_main, grid0.h
+    grids = [grid0] + [make_grid(T, n_main, r) for r in delays]
+    lags = np.array([grid.n_history for grid in grids])
+    longest = grids[int(np.argmax(lags))]
+    i0 = longest.n_history
+    X = np.empty((len(drivers), len(grids), longest.n_nodes, coeffs.d))
+    for row, grid in enumerate(grids):
+        eta = InitialSegment.from_function(eta_fn, grid.r, h)
+        cfg = SolverConfig(alpha=alpha, grid=grid, compute_report=False)
+        _check_inputs(coeffs, eta, drivers[0], cfg)
+        X[:, row, i0 - grid.n_history : i0 + 1] = eta.values
+    dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
+    _euler_steps(coeffs, X, lags, longest.times(), dg, h, longest.r)
+    da = np.empty((len(drivers), len(delays)))
+    ds = np.empty_like(da)
+    for i in range(len(drivers)):
+        ref = X[i, 0, i0:]
+        for j in range(len(delays)):
+            diff = ref - X[i, j + 1, i0:]
+            da[i, j] = norm_alpha_infty(SamplePath(grid0, diff), alpha)
+            ds[i, j] = float(np.max(np.abs(diff)))
+    lams = np.array([lambda_alpha(g, alpha) for g in drivers])
+    return da, ds, lams
 
 
-def _check_study_coeffs(coeffs: CoefficientSet) -> None:
+def _study_report(
+    coeffs: CoefficientSet,
+    eta_fn: Callable[[float], float],
+    chunks: Iterable[Sequence[SamplePath]],
+    alpha: float,
+    delays: Sequence[float],
+    p_list: Sequence[float],
+    seeds: Sequence[int],
+) -> ConvergenceReport:
+    """Solve each chunk of drivers as one batch and summarize every row."""
     if coeffs.drift_kind != "pointwise":
         raise ValueError(
             "the delay-to-zero study requires the pointwise drift form; "
             "hereditary drifts are out of scope"
         )
-
-
-def _distances_for_driver(
-    coeffs: CoefficientSet,
-    eta_fn: Callable[[float], float],
-    g_main: SamplePath,
-    alpha: float,
-    delays: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha-norm and sup distance of X vs X^r for each delay, one driver."""
-    grid0 = g_main.grid
-    T, n_main = grid0.t_end, grid0.n_main
-    cfg0 = SolverConfig(alpha=alpha, grid=grid0, compute_report=False)
-    eta0 = InitialSegment.from_function(eta_fn, 0.0, grid0.h)
-    ref = solve_euler(coeffs, eta0, g_main, cfg0).path.values
-    da = np.empty(len(delays))
-    ds = np.empty(len(delays))
-    for j, r in enumerate(delays):
-        grid_r = make_grid(T, n_main, r)
-        eta_r = InitialSegment.from_function(eta_fn, grid_r.r, grid_r.h)
-        cfg_r = SolverConfig(alpha=alpha, grid=grid_r, compute_report=False)
-        xr = solve_euler(coeffs, eta_r, g_main, cfg_r).path.values
-        diff = SamplePath(grid0, ref - xr[grid_r.index_of_zero :])
-        da[j] = norm_alpha_infty(diff, alpha)
-        ds[j] = float(np.max(np.abs(ref - xr[grid_r.index_of_zero :])))
-    return da, ds
+    delays = tuple(float(r) for r in delays)
+    parts = [_delay_distances(coeffs, eta_fn, drivers, alpha, delays) for drivers in chunks]
+    da, ds, lams = (np.concatenate(part) for part in zip(*parts))
+    n_seeds = da.shape[0]
+    means = np.empty((len(p_list), len(delays)))
+    errs = np.empty_like(means)
+    for i, p in enumerate(p_list):
+        powered = da ** p
+        means[i] = powered.mean(axis=0)
+        errs[i] = powered.std(axis=0, ddof=1) / np.sqrt(n_seeds) if n_seeds > 1 else 0.0
+    return ConvergenceReport(
+        delays=delays,
+        alpha=alpha,
+        p_list=tuple(float(p) for p in p_list),
+        seeds=tuple(seeds),
+        dist_alpha=da,
+        dist_sup=ds,
+        lambda_alpha_samples=lams,
+        lp_means=means,
+        lp_stderr=errs,
+        dominating=da.max(axis=1, initial=0.0),
+        preset=coeffs.name,
+    )
 
 
 def pathwise_convergence_study(
@@ -128,35 +165,11 @@ def pathwise_convergence_study(
     The driver must live on the main [0, T] grid; every delay must be a
     whole number of its steps.
     """
-    _check_study_coeffs(coeffs)
     g_main = g if g.grid.n_history == 0 else SamplePath(g.grid.main_only(), g.main_values())
-    da, ds = _distances_for_driver(coeffs, eta_fn, g_main, alpha, delays)
-    lam = lambda_alpha(g_main, alpha)
     seed = -1
     if g.meta and "seed" in g.meta:
         seed = int(g.meta["seed"])
-    means, errs = _lp_summaries(da[None, :], p_list)
-    return ConvergenceReport(
-        delays=tuple(float(r) for r in delays),
-        alpha=alpha,
-        p_list=tuple(float(p) for p in p_list),
-        seeds=(seed,),
-        dist_alpha=da[None, :],
-        dist_sup=ds[None, :],
-        lambda_alpha_samples=np.array([lam]),
-        lp_means=means,
-        lp_stderr=errs,
-        dominating=np.array([da.max() if da.size else 0.0]),
-        preset=coeffs.name,
-    )
-
-
-def _seed_worker(args) -> tuple[int, np.ndarray, np.ndarray, float]:
-    (index, coeffs, eta_fn, fbm_cfg, alpha, delays, T, n_main) = args
-    grid0 = make_grid(T, n_main, 0.0)
-    g = generate_fbm(grid0, fbm_cfg, index=index)
-    da, ds = _distances_for_driver(coeffs, eta_fn, g, alpha, delays)
-    return index, da, ds, lambda_alpha(g, alpha)
+    return _study_report(coeffs, eta_fn, [[g_main]], alpha, delays, p_list, (seed,))
 
 
 def lp_convergence_study(
@@ -169,48 +182,22 @@ def lp_convergence_study(
     n_seeds: int = 100,
     T: float = 1.0,
     n_main: int = 4096,
-    parallelism: int = 1,
 ) -> ConvergenceReport:
     """Monte Carlo delay-to-zero study over independent driver paths.
 
     Driver i is derived from the master seed with path index i, and the
-    same path serves every delay.  Aggregation is index-ordered, so the
-    result does not depend on worker scheduling.
+    same path serves every delay.  Drivers are solved in chunks of seeds,
+    one batch per chunk; every row equals its own per-path solve, so the
+    result does not depend on the chunking.
     """
-    _check_study_coeffs(coeffs)
     if n_seeds < 30:
         raise ValueError(f"n_seeds must be >= 30 for the Monte Carlo study, got {n_seeds}")
-    delays = tuple(float(r) for r in delays)
-    work = [
-        (i, coeffs, eta_fn, fbm_cfg, alpha, delays, float(T), int(n_main))
-        for i in range(n_seeds)
-    ]
-    da = np.empty((n_seeds, len(delays)))
-    ds = np.empty((n_seeds, len(delays)))
-    lams = np.empty(n_seeds)
-    if parallelism > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_seed_worker, work, chunksize=1))
-    else:
-        results = [_seed_worker(w) for w in work]
-    for index, row_a, row_s, lam in results:
-        da[index] = row_a
-        ds[index] = row_s
-        lams[index] = lam
-    means, errs = _lp_summaries(da, p_list)
-    return ConvergenceReport(
-        delays=delays,
-        alpha=alpha,
-        p_list=tuple(float(p) for p in p_list),
-        seeds=tuple(range(n_seeds)),
-        dist_alpha=da,
-        dist_sup=ds,
-        lambda_alpha_samples=lams,
-        lp_means=means,
-        lp_stderr=errs,
-        dominating=da.max(axis=1),
-        preset=coeffs.name,
+    grid0 = make_grid(float(T), int(n_main), 0.0)
+    chunks = (
+        [generate_fbm(grid0, fbm_cfg, index=i) for i in range(lo, min(lo + _SEED_CHUNK, n_seeds))]
+        for lo in range(0, n_seeds, _SEED_CHUNK)
     )
+    return _study_report(coeffs, eta_fn, chunks, alpha, delays, p_list, range(n_seeds))
 
 
 @dataclass(frozen=True)

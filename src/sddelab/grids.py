@@ -7,7 +7,6 @@ accumulation, so they are reproducible to a few machine epsilons.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -297,12 +296,6 @@ def write_path_csv(path: SamplePath, file) -> None:
     finally:
         if close:
             file.close()
-
-
-def path_to_csv_text(path: SamplePath) -> str:
-    buf = io.StringIO()
-    write_path_csv(path, buf)
-    return buf.getvalue()
 
 
 def read_path_csv(file) -> SamplePath:

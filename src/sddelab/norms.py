@@ -170,7 +170,8 @@ def _weyl_sup_onecomp(vals: np.ndarray, alpha: float, h: float) -> float:
     inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
     P, Q = hat_weights(2.0 - alpha, h, N)
     Pc, Qc = P[1:], Q[1:]
-    best = 0.0
+    # per-anchor maxima reduced by np.max, which propagates NaN
+    sups = np.empty(N)
     for i in range(N):
         L = N - i
         psi = vals[i + 1 :] - vals[i]
@@ -179,10 +180,8 @@ def _weyl_sup_onecomp(vals: np.ndarray, alpha: float, h: float) -> float:
         K = np.cumsum(cells)
         np.multiply(psi, inv_denom[:L], out=psi)
         psi += (1.0 - alpha) * K
-        m = float(np.max(np.abs(psi)))
-        if m > best:
-            best = m
-    return best
+        sups[i] = np.max(np.abs(psi))
+    return float(np.max(sups, initial=0.0))
 
 
 def lambda_alpha(g: SamplePath, alpha: float) -> float:
@@ -212,7 +211,7 @@ def norm_1ma_infty_T(g: SamplePath, alpha: float) -> float:
     inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
     P, Q = hat_weights(2.0 - alpha, h, N)
     Pc, Qc = P[1:], Q[1:]
-    best = 0.0
+    sups = np.empty(N)
     vals2 = gm.values
     for i in range(N):
         L = N - i
@@ -226,10 +225,8 @@ def norm_1ma_infty_T(g: SamplePath, alpha: float) -> float:
         K = np.cumsum(cells)
         np.multiply(psi, inv_denom[:L], out=psi)
         psi += K
-        m = float(np.max(psi))
-        if m > best:
-            best = m
-    return best
+        sups[i] = np.max(psi)
+    return float(np.max(sups))
 
 
 def norm_alpha_1(f: SamplePath, alpha: float) -> float:

@@ -1,8 +1,8 @@
 """Named coefficient sets and initial segments used by the CLI and studies.
 
-All presets are scalar (d = m = 1) and defined at module level so they
-pickle across process boundaries.  Each CoefficientSet carries the
-constants under which its hypotheses hold:
+All presets are scalar (d = m = 1).  Their coefficients act elementwise
+on a batch of states (see CoefficientSet).  Each CoefficientSet carries
+the constants under which its hypotheses hold:
 
 * ``additive``       sigma = 1,      b = 0
 * ``linear``         sigma = x,      b = -x
@@ -20,31 +20,31 @@ __all__ = ["coefficient_preset", "eta_preset", "COEFFICIENT_PRESETS", "ETA_PRESE
 
 
 def _sigma_additive(t: float, x: np.ndarray) -> np.ndarray:
-    return np.ones((1, 1))
+    return np.ones(np.shape(x) + (1,))
 
 
 def _sigma_additive_dx(t: float, x: np.ndarray) -> np.ndarray:
-    return np.zeros((1, 1))
+    return np.zeros(np.shape(x) + (1,))
 
 
 def _sigma_linear(t: float, x: np.ndarray) -> np.ndarray:
-    return np.array([[x[0]]])
+    return x[..., None]
 
 
 def _sigma_linear_dx(t: float, x: np.ndarray) -> np.ndarray:
-    return np.ones((1, 1))
+    return np.ones(np.shape(x) + (1,))
 
 
 def _sigma_sine(t: float, x: np.ndarray) -> np.ndarray:
-    return np.array([[np.sin(x[0])]])
+    return np.sin(x)[..., None]
 
 
 def _sigma_sine_dx(t: float, x: np.ndarray) -> np.ndarray:
-    return np.array([[np.cos(x[0])]])
+    return np.cos(x)[..., None]
 
 
 def _drift_zero(t: float, x: np.ndarray) -> np.ndarray:
-    return np.zeros(1)
+    return np.zeros(np.shape(x))
 
 
 def _drift_minus_x(t: float, x: np.ndarray) -> np.ndarray:

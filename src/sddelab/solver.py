@@ -56,7 +56,7 @@ PURPOSE_HYP = 2
 
 
 class DivergenceError(RuntimeError):
-    """Euler recursion produced a non-finite value."""
+    """A solver produced a non-finite value."""
 
     def __init__(self, node: int, time: float):
         self.node = node
@@ -71,9 +71,10 @@ class DivergenceError(RuntimeError):
 class CoefficientSet:
     """Diffusion sigma, drift b, and the constants they are declared to obey.
 
-    sigma(t, x) maps a state x in R^d to a (d, m) matrix.  The drift is
-    either pointwise b(t, x) -> R^d or hereditary b(t, window) -> R^d,
-    where the window exposes the path on [-r, t] only.  The constants:
+    sigma(t, x) maps states of shape (..., d) to (..., d, m) and a pointwise
+    drift b(t, x) maps them to (..., d), elementwise over the leading batch
+    axes; t is a float or node times of shape (..., 1).  A hereditary drift
+    b(t, window) -> R^d reads one path on [-r, t] through a window.  The constants:
 
     m0    space-Lipschitz and time-Hoelder constant of sigma
     mn    Hoelder-delta constant of the spatial derivative (per box N)
@@ -117,16 +118,6 @@ class CoefficientSet:
         for label in ("m0", "mn", "l0", "ln", "k0"):
             if getattr(self, label) < 0:
                 raise ValueError(f"{label} must be >= 0")
-
-    def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.sigma(t, x), dtype=float).reshape(self.d, self.m)
-
-    def drift_at(self, t: float, window: PathWindow) -> np.ndarray:
-        if self.drift_kind == "pointwise":
-            out = self.drift(t, window.current)
-        else:
-            out = self.drift(t, window)
-        return np.asarray(out, dtype=float).reshape(self.d)
 
     def b0_at(self, t: float) -> float:
         return 0.0 if self.b0 is None else float(self.b0(t))
@@ -291,6 +282,52 @@ def _finish(
     )
 
 
+def _euler_steps(
+    coeffs: CoefficientSet,
+    X: np.ndarray,
+    lags: np.ndarray,
+    times: np.ndarray,
+    dg: np.ndarray,
+    h: float,
+    r: float,
+) -> None:
+    """Advance every row of X[..., nodes, d] through the Euler recursion, in place.
+
+    Rows hold their histories right-aligned at the shared zero index
+    i0 = nodes - 1 - n_main; a row with lag history steps reads its sigma
+    argument at node k - lag.  dg[..., j, :], the driver increment of step
+    j, broadcasts against the rows.  The one-path operation order is kept,
+    so each row equals its own batch-of-one solve bit for bit.  Hereditary
+    drifts read a PathWindow of one path, so they need a batch of one.
+    """
+    batch, (nodes, d) = X.shape[:-2], X.shape[-2:]
+    n = dg.shape[-2]
+    i0 = nodes - 1 - n
+    pointwise = coeffs.drift_kind == "pointwise"
+    lags = np.broadcast_to(lags, batch)
+    # row-major node number of each row's sigma argument, less k
+    lag_nodes = np.arange(X.size // (nodes * d)).reshape(batch) * nodes - lags
+    steps = np.moveaxis(dg, -2, 0)[..., None]
+    sigma_shape = batch + (d, coeffs.m)
+    drift_fn, sigma_fn = coeffs.drift, coeffs.sigma
+    for j in range(n):
+        k = i0 + j
+        t_k = times[k]
+        x = X[..., k, :]
+        if pointwise:
+            bv = drift_fn(t_k, x)
+        else:
+            bv = drift_fn(t_k, PathWindow(times, X[0], k, r))
+        bv = np.asarray(bv, dtype=float).reshape(x.shape)
+        lagged = X.reshape(-1, d).take(lag_nodes + k, axis=0)
+        sv = np.asarray(sigma_fn(t_k, lagged), dtype=float).reshape(sigma_shape)
+        new = x + bv * h + (sv @ steps[j])[..., 0]
+        X[..., k + 1, :] = new
+        if not np.isfinite(new).all():
+            row = tuple(np.argwhere(~np.isfinite(new).all(axis=-1))[0])
+            raise DivergenceError(k + 1 - i0 + int(lags[row]), float(times[k + 1]))
+
+
 def solve_euler(
     coeffs: CoefficientSet, eta: InitialSegment, g: SamplePath, cfg: SolverConfig
 ) -> SolutionBundle:
@@ -301,27 +338,11 @@ def solve_euler(
     """
     _check_inputs(coeffs, eta, g, cfg)
     grid = cfg.grid
-    h = grid.h
-    i0 = grid.index_of_zero
-    nh = grid.n_history
-    times = grid.times()
     X = _history_array(eta, grid)
-    dg = np.diff(g.values, axis=0)
-    r = grid.r
-    d, m = coeffs.d, coeffs.m
-    pointwise = coeffs.drift_kind == "pointwise"
-    drift_fn, sigma_fn = coeffs.drift, coeffs.sigma
-    for j in range(grid.n_main):
-        k = i0 + j
-        t_k = times[k]
-        if pointwise:
-            bv = np.asarray(drift_fn(t_k, X[k]), dtype=float).reshape(d)
-        else:
-            bv = np.asarray(drift_fn(t_k, PathWindow(times, X, k, r)), dtype=float).reshape(d)
-        sv = np.asarray(sigma_fn(t_k, X[k - nh]), dtype=float).reshape(d, m)
-        X[k + 1] = X[k] + bv * h + sv @ dg[j]
-        if not np.isfinite(X[k + 1]).all():
-            raise DivergenceError(k + 1, times[k + 1])
+    _euler_steps(
+        coeffs, X[None], np.array([grid.n_history]), grid.times(),
+        np.diff(g.values, axis=0), grid.h, grid.r,
+    )
     path = SamplePath(grid, X, meta={"scheme": "euler"})
     return _finish(coeffs, eta, g, cfg, path, "euler")
 
@@ -337,22 +358,15 @@ def _apply_operator(
     i0 = grid.index_of_zero
     nh = grid.n_history
     n = grid.n_main
-    h = grid.h
-    r = grid.r
     d, m = coeffs.d, coeffs.m
-    pointwise = coeffs.drift_kind == "pointwise"
-    drift_fn, sigma_fn = coeffs.drift, coeffs.sigma
-    bev = np.empty((n, d))
-    sev = np.empty((n, d, m))
-    for j in range(n):
-        k = i0 + j
-        t_k = times[k]
-        if pointwise:
-            bev[j] = drift_fn(t_k, y[k])
-        else:
-            bev[j] = np.asarray(drift_fn(t_k, PathWindow(times, y, k, r)), dtype=float).reshape(d)
-        sev[j] = sigma_fn(t_k, y[k - nh])
-    terms = bev * h + np.einsum("kdm,km->kd", sev, dg)
+    front = times[i0 : i0 + n]
+    if coeffs.drift_kind == "pointwise":
+        bev = coeffs.drift(front[:, None], y[i0 : i0 + n])
+    else:
+        bev = [coeffs.drift(t_k, PathWindow(times, y, i0 + j, grid.r)) for j, t_k in enumerate(front)]
+    bev = np.asarray(bev, dtype=float).reshape(n, d)
+    sev = np.asarray(coeffs.sigma(front[:, None], y[i0 - nh : i0 - nh + n]), dtype=float)
+    terms = bev * grid.h + np.einsum("kdm,km->kd", sev.reshape(n, d, m), dg)
     out = y.copy()
     out[i0 + 1 :] = y[i0] + np.cumsum(terms, axis=0)
     return out
@@ -387,8 +401,10 @@ def solve_picard(
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
         y_next = _apply_operator(coeffs, y, grid, times, dg)
-        if not np.all(np.isfinite(y_next)):
-            raise DivergenceError(int(np.argwhere(~np.isfinite(y_next))[0][0]), float("nan"))
+        finite = np.isfinite(y_next).all(axis=1)
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise DivergenceError(node, float(times[node]))
         diff = SamplePath(grid, y_next - y)
         res = norm_alpha_lambda(diff, cfg.alpha, lam, r=grid.r)
         residuals.append(res)
@@ -484,45 +500,43 @@ def validate_hypotheses(
     ys = rng.uniform(-box, box, size=(n, d))
     clauses: list[ClauseReport] = []
 
-    def fro(a: np.ndarray) -> float:
-        return float(np.linalg.norm(a))
+    tcol = ts[:, None]
+
+    def rows(fn, t, x) -> np.ndarray:
+        """One flattened coefficient value per sample; norms then run per row."""
+        return np.asarray(fn(t, x), dtype=float).reshape(n, -1)
+
+    def norm(a: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(a, axis=1)
 
     # (H1).1 space Lipschitz of sigma
-    lhs = np.array([fro(coeffs.sigma_at(t, x) - coeffs.sigma_at(t, y)) for t, x, y in zip(ts, xs, ys)])
-    rhs = np.linalg.norm(xs - ys, axis=1)
-    clauses.append(ClauseReport("sigma-space-lipschitz", _quotient(lhs, rhs), coeffs.m0, n))
+    lhs = norm(rows(coeffs.sigma, tcol, xs) - rows(coeffs.sigma, tcol, ys))
+    clauses.append(ClauseReport("sigma-space-lipschitz", _quotient(lhs, norm(xs - ys)), coeffs.m0, n))
 
     # (H1).2 derivative Hoelder (needs the derivative evaluator)
     if coeffs.sigma_dx is None:
         clauses.append(ClauseReport("sigma-derivative-hoelder", 0.0, coeffs.mn, 0,
                                     skipped=True, note="no sigma_dx supplied"))
     else:
-        dx = np.array([
-            fro(np.asarray(coeffs.sigma_dx(t, x), float) - np.asarray(coeffs.sigma_dx(t, y), float))
-            for t, x, y in zip(ts, xs, ys)
-        ])
-        rhs = np.linalg.norm(xs - ys, axis=1) ** coeffs.delta
+        dx = norm(rows(coeffs.sigma_dx, tcol, xs) - rows(coeffs.sigma_dx, tcol, ys))
+        rhs = norm(xs - ys) ** coeffs.delta
         clauses.append(ClauseReport("sigma-derivative-hoelder", _quotient(dx, rhs), coeffs.mn, n))
 
     # (H1).3 time Hoelder of sigma
-    lhs = np.array([fro(coeffs.sigma_at(t, x) - coeffs.sigma_at(s, x)) for t, s, x in zip(ts, ss, xs)])
+    lhs = norm(rows(coeffs.sigma, tcol, xs) - rows(coeffs.sigma, ss[:, None], xs))
     rhs = np.abs(ts - ss) ** coeffs.beta
     clauses.append(ClauseReport("sigma-time-hoelder", _quotient(lhs, rhs), coeffs.m0, n))
 
     # (H3) growth of sigma
-    lhs = np.array([fro(coeffs.sigma_at(t, x)) for t, x in zip(ts, xs)])
-    rhs = 1.0 + np.linalg.norm(xs, axis=1) ** coeffs.gamma
+    lhs = norm(rows(coeffs.sigma, tcol, xs))
+    rhs = 1.0 + norm(xs) ** coeffs.gamma
     clauses.append(ClauseReport("sigma-growth", _quotient(lhs, rhs), coeffs.k0, n))
 
     if coeffs.drift_kind == "pointwise":
-        bl = np.array([
-            np.linalg.norm(np.asarray(coeffs.drift(t, x), float) - np.asarray(coeffs.drift(t, y), float))
-            for t, x, y in zip(ts, xs, ys)
-        ])
-        clauses.append(ClauseReport("drift-lipschitz", _quotient(bl, np.linalg.norm(xs - ys, axis=1)),
-                                    coeffs.ln, n))
-        bg = np.array([np.linalg.norm(np.asarray(coeffs.drift(t, x), float)) for t, x in zip(ts, xs)])
-        cap = coeffs.l0 * np.linalg.norm(xs, axis=1) + np.array([coeffs.b0_at(t) for t in ts])
+        bl = norm(rows(coeffs.drift, tcol, xs) - rows(coeffs.drift, tcol, ys))
+        clauses.append(ClauseReport("drift-lipschitz", _quotient(bl, norm(xs - ys)), coeffs.ln, n))
+        bg = norm(rows(coeffs.drift, tcol, xs))
+        cap = coeffs.l0 * norm(xs) + np.array([coeffs.b0_at(t) for t in ts])
         clauses.append(ClauseReport("drift-growth", _quotient(bg, cap), 1.0, n))
     else:
         # hereditary clauses: random piecewise-linear windows on [-r, t]

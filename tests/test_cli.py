@@ -94,6 +94,13 @@ def test_converge_requires_step_aligned_delays():
         resolve_config("converge", None, {"n_main": "100", "k_max": "5"})
 
 
+def test_off_grid_delay_is_a_config_error(capsys, tmp_path):
+    code = run(["solve", "--r", "0.3", "--n-main", "256", "--outdir", tmp_path / "x"])
+    assert code == 2
+    assert "not aligned" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_converge_rejects_hereditary_presets():
     with pytest.raises(ConfigError, match="drift"):
         resolve_config("converge", None, {"preset": "hereditary-sup"})

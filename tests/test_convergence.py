@@ -6,17 +6,24 @@ import pytest
 from sddelab import (
     ConvergenceReport,
     FbmConfig,
+    InitialSegment,
+    SamplePath,
+    SolverConfig,
     coefficient_preset,
     default_delays,
     eta_preset,
     evaluate_convergence_gates,
     fernique_statistics,
+    lambda_alpha,
     lp_convergence_study,
     make_grid,
     generate_fbm,
+    norm_alpha_infty,
     pathwise_convergence_study,
     rate_fit,
+    solve_euler,
 )
+from sddelab.convergence import _SEED_CHUNK
 
 ALPHA = 0.3
 DELAYS = (0.25, 0.125, 0.0625, 0.03125)
@@ -179,6 +186,31 @@ def test_monte_carlo_study_is_deterministic():
     )
     assert np.array_equal(a.dist_alpha, b.dist_alpha)
     assert np.array_equal(a.lambda_alpha_samples, b.lambda_alpha_samples)
+
+
+@pytest.mark.parametrize("preset", ["additive", "linear", "sine"])
+def test_batched_study_equals_per_path_solves(preset):
+    # one chunk boundary inside the seed range
+    n_seeds, n_main, fbm_cfg = _SEED_CHUNK + 1, 64, FbmConfig(hurst=0.75, seed=4)
+    coeffs, eta_fn = coefficient_preset(preset), eta_preset("ramp")
+    report = lp_convergence_study(
+        coeffs, eta_fn, fbm_cfg, ALPHA, DELAYS, n_seeds=n_seeds, n_main=n_main,
+    )
+    grid0 = make_grid(1.0, n_main)
+    for i in range(n_seeds):
+        g = generate_fbm(grid0, fbm_cfg, index=i)
+        paths = []
+        for r in (0.0,) + DELAYS:
+            grid = make_grid(1.0, n_main, r)
+            eta = InitialSegment.from_function(eta_fn, grid.r, grid.h)
+            cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+            paths.append(solve_euler(coeffs, eta, g, cfg).path.main_values())
+        ref = paths[0]
+        dist_alpha = [norm_alpha_infty(SamplePath(grid0, ref - x), ALPHA) for x in paths[1:]]
+        dist_sup = [np.max(np.abs(ref - x)) for x in paths[1:]]
+        assert np.array_equal(report.dist_alpha[i], dist_alpha)
+        assert np.array_equal(report.dist_sup[i], dist_sup)
+        assert report.lambda_alpha_samples[i] == lambda_alpha(g, ALPHA)
 
 
 def test_driver_statistics_summary():

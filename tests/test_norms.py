@@ -247,3 +247,13 @@ def test_norm_report_takes_driver_functionals_from_the_driver(rough_driver):
     rep = compute_norm_report(f, ALPHA, driver=rough_driver)
     assert rep.lambda_alpha == pytest.approx(lambda_alpha(rough_driver, ALPHA))
     assert rep.norm_1ma == pytest.approx(norm_1ma_infty_T(rough_driver, ALPHA))
+
+
+def test_a_nan_node_poisons_the_driver_functionals():
+    g = generate_fbm(make_grid(1.0, 64), FbmConfig(hurst=0.75, seed=0))
+    vals = g.values.copy()
+    vals[17, 0] = np.nan
+    bad = SamplePath(g.grid, vals)
+    assert math.isnan(lambda_alpha(bad, ALPHA))
+    assert math.isnan(norm_1ma_infty_T(bad, ALPHA))
+    assert math.isnan(norm_alpha_infty(bad, ALPHA))

@@ -30,6 +30,7 @@ from sddelab import (
     stopping_lambda,
     validate_hypotheses,
 )
+from sddelab.solver import _euler_steps
 
 ALPHA = 0.3
 HURST = 0.75
@@ -249,6 +250,47 @@ def test_divergent_dynamics_raise_with_location():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
         solve_euler(blowup, eta, g, cfg)
     assert err.value.node > 0
+
+
+# b = x^2 from a large start overflows within a few dozen steps
+QUADRATIC_BLOWUP = CoefficientSet(
+    sigma=lambda t, x: np.zeros(np.shape(x) + (1,)),
+    drift=lambda t, x: x * x,
+    m0=0.0, mn=0.0, l0=1.0, ln=1.0, k0=1.0, gamma=0.0,
+    name="quadratic-blowup",
+)
+
+
+def test_picard_divergence_reports_node_and_time():
+    grid = make_grid(1.0, 64, 0.0)
+    g = SamplePath.from_function(grid, lambda t: 0.0)
+    eta = InitialSegment.from_function(lambda t: 1e3, 0.0, grid.h)
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, scheme="picard", compute_report=False)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as err:
+        solve_picard(QUADRATIC_BLOWUP, eta, g, cfg)
+    assert err.value.node > 0
+    assert math.isfinite(err.value.time)
+    assert err.value.time == grid.times()[err.value.node]
+
+
+def test_batched_divergence_names_the_exploding_row():
+    # three rows stepped together; only the middle one (2 history steps)
+    # explodes, and it fails where its own one-path solve fails
+    n, lag = 64, 2
+    grid = make_grid(1.0, n, lag / n)
+    g = SamplePath.from_function(grid.main_only(), lambda t: 0.0)
+    eta = InitialSegment.from_function(lambda t: 1e3, grid.r, grid.h)
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as single:
+        solve_euler(QUADRATIC_BLOWUP, eta, g, cfg)
+
+    X = np.ones((3, grid.n_nodes, 1))
+    X[1] = 1e3
+    dg = np.zeros((n, 1))
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as batch:
+        _euler_steps(QUADRATIC_BLOWUP, X, np.array([0, lag, 0]), grid.times(), dg, grid.h, grid.r)
+    assert math.isfinite(batch.value.time)
+    assert (batch.value.node, batch.value.time) == (single.value.node, single.value.time)
 
 
 def test_solve_dispatches_on_scheme():
