@@ -15,16 +15,14 @@ discrete integrals exactly, which the bound-checking modules rely on.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = [
     "hat_weights",
     "backward_increment_integrals",
+    "anchored_sweep",
     "backward_profile_integrals",
     "backward_matrix_integrals",
-    "lag_block_pairs",
     "forward_increment_matrix",
     "cumulative_from_zero",
     "quadrature_slack",
@@ -35,7 +33,9 @@ __all__ = [
 SLACK_ABS = 1e-8
 SLACK_REL = 1e-6
 
-_DEFAULT_BLOCK = 256
+#: row data one kernel block keeps hot (about half a megabyte); the rows
+#: per block follow from the row length
+_BLOCK_BYTES = 1 << 19
 
 
 def quadrature_slack(scale: float | np.ndarray) -> float | np.ndarray:
@@ -79,14 +79,38 @@ def hat_weights(kappa: float, h: float, n_cells: int):
     return np.concatenate(([0.0], P)), np.concatenate(([0.0], Q))
 
 
-def _increment_magnitude(diff: np.ndarray, delta: float) -> np.ndarray:
-    """Euclidean magnitude of increments, optionally raised to delta."""
-    if diff.ndim == 3:
-        mag = np.sqrt(np.sum(diff * diff, axis=2))
+def _as_rows(values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(rows, batch) of values shaped (n_nodes,) or (..., n_nodes, d).
+
+    rows is C-contiguous, (B, n_nodes) for one component and
+    (B, d, n_nodes) otherwise, with B the product of the batch shape.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        return np.ascontiguousarray(vals[None, :]), ()
+    batch, (n_nodes, d) = vals.shape[:-2], vals.shape[-2:]
+    rows = np.moveaxis(vals, -1, -2).reshape((-1, d, n_nodes))
+    return np.ascontiguousarray(rows[:, 0] if d == 1 else rows), batch
+
+
+def _row_blocks(rows: np.ndarray) -> list[slice]:
+    """Slices of rows holding at most _BLOCK_BYTES of data each (at least one row)."""
+    step = max(1, _BLOCK_BYTES // rows[0].nbytes)
+    return [slice(lo, lo + step) for lo in range(0, len(rows), step)]
+
+
+def _increment_magnitude(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
+    """|increment|^delta of (rows, k) scalar or (rows, d, k) vector increments.
+
+    Scalar increments are overwritten in place; vector increments reduce
+    to their euclidean magnitude over axis 1.
+    """
+    if diff.ndim == 2:
+        mag = np.abs(diff, out=diff)
     else:
-        mag = np.abs(diff)
+        mag = np.sqrt(np.sum(diff * diff, axis=1))
     if delta != 1.0:
-        mag = mag ** delta
+        mag **= delta
     return mag
 
 
@@ -96,47 +120,77 @@ def backward_increment_integrals(
     h: float,
     delta: float = 1.0,
     start: int = 0,
-    block: int = _DEFAULT_BLOCK,
 ) -> np.ndarray:
-    """I[j] = integral over s in [t_start, t_j] of |f(t_j)-f(s)|^delta (t_j-s)^-kappa ds.
+    """I[..., j] = integral over s in [t_start, t_j] of |f(t_j)-f(s)|^delta (t_j-s)^-kappa ds.
 
-    values has shape (n_nodes,) or (n_nodes, d); the increment magnitude is
-    euclidean over components.  Entries with j <= start are zero.
+    values has shape (n_nodes,) for one scalar path, or (..., n_nodes, d)
+    for a batch of paths on one grid; the increment magnitude is
+    euclidean over components, and the result has shape (..., n_nodes).
+    Entries with j <= start are zero.  The sweep runs lag by lag over
+    cache-sized blocks of rows; each row's arithmetic is independent of
+    its block, so a batch agrees with its rows' separate calls bit for bit.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim == 2 and vals.shape[1] == 1:
-        vals = vals[:, 0]
-    N = vals.shape[0] - 1
-    out = np.zeros(N + 1)
-    n_lag = N - start
-    if n_lag < 1:
-        return out
-    P, Q = hat_weights(kappa, h, n_lag + 1)
-    # collapsed per-node weight: W[m] = Q[m] + P[m+1]; the farthest node of
-    # each row only carries Q, corrected below.
-    W = Q[1:-1] + P[2:]
-    if vals.ndim == 1:
-        # scalar fast path: one triangular dot per row, weights read as
-        # contiguous suffixes of the reversed collapsed-weight vector
-        RW = np.ascontiguousarray(W[::-1])
-        L = len(W)
-        for j in range(start + 1, N + 1):
-            m = j - start
-            phi = np.abs(vals[start:j] - vals[j])
-            if delta != 1.0:
-                phi **= delta
-            out[j] = np.dot(phi, RW[L - m :]) - P[m + 1] * phi[0]
-        return out
-    base = vals[start:]
-    for j0 in range(start + 1, N + 1, block):
-        rows = np.arange(j0, min(j0 + block, N + 1))
-        diff = base[None, :, :] - vals[rows][:, None, :]
-        phi = _increment_magnitude(diff, delta)
-        lags = rows[:, None] - start - np.arange(base.shape[0])[None, :]
-        wm = np.where(lags >= 1, W[np.clip(lags - 1, 0, len(W) - 1)], 0.0)
-        I = np.einsum("bk,bk->b", wm, phi) - P[rows - start + 1] * phi[:, 0]
-        out[rows] = I
-    return out
+    rows, batch = _as_rows(values)
+    n_nodes = rows.shape[-1]
+    out = np.zeros((len(rows), n_nodes))
+    n_lag = n_nodes - 1 - start
+    if n_lag >= 1:
+        P, Q = hat_weights(kappa, h, n_lag + 1)
+        # collapsed per-lag weight W[l-1] = Q[l] + P[l+1]; the farthest node
+        # of each row only carries Q, corrected after the sweep.
+        W = (Q[1:-1] + P[2:]).tolist()
+        for blk in _row_blocks(rows):
+            v = rows[blk, ..., start:]
+            acc = out[blk, start:]
+            for l in range(1, n_lag + 1):
+                phi = _increment_magnitude(v[..., :-l] - v[..., l:], delta)
+                phi *= W[l - 1]
+                acc[:, l:] += phi
+            far = _increment_magnitude(v[..., 1:] - v[..., :1], delta)
+            far *= P[2:]
+            acc[:, 1:] -= far
+    return out.reshape(batch + (n_nodes,))
+
+
+def anchored_sweep(
+    values: np.ndarray, alpha: float, h: float, c: float, signed: bool = True
+) -> np.ndarray:
+    """Per path: max over node pairs s < t of |psi (t-s)^(alpha-1) + c K|.
+
+    psi = f(t) - f(s) when signed (scalar paths only), else the euclidean
+    magnitude |f(t) - f(s)|; K is the hat-rule integral over u in [s, t]
+    of psi_s(u) (u-s)^(alpha-2).  values has the layout of
+    backward_increment_integrals and the result has shape (...); a path
+    with fewer than two nodes gives 0, and a NaN node gives NaN.  Each
+    anchor s sweeps every row of a cache-sized block at once; each row's
+    arithmetic is independent of its block.
+    """
+    rows, batch = _as_rows(values)
+    if signed and rows.ndim == 3:
+        raise ValueError("signed sweeps are scalar-only")
+    N = rows.shape[-1] - 1
+    sups = np.zeros(len(rows))
+    if N >= 1:
+        inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
+        P, Q = hat_weights(2.0 - alpha, h, N)
+        Pc, Qc = P[1:], Q[1:]
+        for blk in _row_blocks(rows):
+            v = rows[blk]
+            best = np.empty((N, len(v)))
+            for i in range(N):
+                L = N - i
+                psi = v[..., i + 1 :] - v[..., i : i + 1]
+                if not signed:
+                    psi = _increment_magnitude(psi)
+                cells = Qc[:L] * psi
+                cells[:, 1:] += Pc[1:L] * psi[:, :-1]
+                K = np.cumsum(cells, axis=1, out=cells)
+                psi *= inv_denom[:L]
+                K *= c
+                psi += K
+                best[i] = np.abs(psi, out=psi).max(axis=1)
+            sups[blk] = np.max(best, axis=0)
+    return sups.reshape(batch)
 
 
 def backward_profile_integrals(
@@ -185,49 +239,6 @@ def backward_matrix_integrals(
     return out
 
 
-def lag_block_pairs(
-    values: np.ndarray,
-    kappa: float,
-    h: float,
-    signed: bool,
-    delta: float = 1.0,
-    block: int = _DEFAULT_BLOCK,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Pairwise increment and anchored-integral blocks in lag coordinates.
-
-    Yields (rows, psi, K, valid) where for anchor i = rows[b] and lag m:
-      psi[b, m]  = f(t_{i+m}) - f(t_i) (signed, scalar values only) or
-                   |f(t_{i+m}) - f(t_i)|^delta,
-      K[b, m]    = integral over u in [t_i, t_{i+m}] of psi_i(u) (u-t_i)^-kappa du,
-      valid[b,m] = i + m <= last node.
-    Invalid entries are zeroed.  Requires kappa >= 1 (anchor zero of psi).
-    """
-    vals = np.asarray(values, dtype=float)
-    vector = vals.ndim == 2
-    if signed and vector:
-        raise ValueError("signed pair blocks are scalar-only")
-    N = vals.shape[0] - 1
-    if N < 1:
-        return
-    P, Q = hat_weights(kappa, h, N)
-    m_idx = np.arange(N + 1)
-    for i0 in range(0, N, block):
-        rows = np.arange(i0, min(i0 + block, N))
-        idx = rows[:, None] + m_idx[None, :]
-        valid = idx <= N
-        idxc = np.minimum(idx, N)
-        vb = vals[idxc]
-        diff = vb - (vals[rows][:, None, :] if vector else vals[rows][:, None])
-        psi = diff if signed else _increment_magnitude(diff, delta)
-        psi = np.where(valid, psi, 0.0)
-        cells = P[1:] * psi[:, :-1] + Q[1:] * psi[:, 1:]
-        cells = np.where(valid[:, 1:], cells, 0.0)
-        K = np.concatenate(
-            (np.zeros((len(rows), 1)), np.cumsum(cells, axis=1)), axis=1
-        )
-        yield rows, psi, K, valid
-
-
 def forward_increment_matrix(
     values: np.ndarray, kappa: float, h: float, delta: float = 1.0
 ) -> np.ndarray:
@@ -235,17 +246,14 @@ def forward_increment_matrix(
 
     Materializes (n_nodes)^2 floats; intended for moderate grids.
     """
-    vals = np.asarray(values, dtype=float)
-    N = vals.shape[0] - 1
+    rows, _ = _as_rows(values)
+    N = rows.shape[-1] - 1
+    P, Q = hat_weights(kappa, h, N)
     Psi = np.zeros((N + 1, N + 1))
-    for rows, _psi, K, valid in lag_block_pairs(
-        vals, kappa, h, signed=False, delta=delta
-    ):
-        idx = rows[:, None] + np.arange(N + 1)[None, :]
-        sel = valid.ravel()
-        rr = np.repeat(rows, N + 1)[sel]
-        cc = idx.ravel()[sel]
-        Psi[rr, cc] = K.ravel()[sel]
+    for i in range(N):
+        psi = _increment_magnitude(rows[..., i:] - rows[..., i : i + 1], delta)[0]
+        L = N - i
+        Psi[i, i + 1 :] = np.cumsum(P[1 : L + 1] * psi[:-1] + Q[1 : L + 1] * psi[1:])
     return Psi
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fbm import FbmConfig, generate_fbm
 from .grids import InitialSegment, SamplePath, make_grid
-from .norms import lambda_alpha, norm_alpha_infty
+from .norms import alpha_infty_rows, lambda_alpha_rows
 from .solver import CoefficientSet, SolverConfig, _check_inputs, _euler_steps
 
 __all__ = [
@@ -84,7 +84,9 @@ def _delay_distances(
 
     The drivers share one main grid.  X and every X^r of every driver are
     stepped together as the rows of one (driver, delay) batch, with each
-    history right-aligned at the longest delay.
+    history right-aligned at the longest delay; the distances of the whole
+    batch come from one kernel call and the Lambda_alpha values from one
+    sweep.
     """
     grid0 = drivers[0].grid
     T, n_main, h = grid0.t_end, grid0.n_main, grid0.h
@@ -100,15 +102,11 @@ def _delay_distances(
         X[:, row, i0 - grid.n_history : i0 + 1] = eta.values
     dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
     _euler_steps(coeffs, X, lags, longest.times(), dg, h, longest.r)
-    da = np.empty((len(drivers), len(delays)))
-    ds = np.empty_like(da)
-    for i in range(len(drivers)):
-        ref = X[i, 0, i0:]
-        for j in range(len(delays)):
-            diff = ref - X[i, j + 1, i0:]
-            da[i, j] = norm_alpha_infty(SamplePath(grid0, diff), alpha)
-            ds[i, j] = float(np.max(np.abs(diff)))
-    lams = np.array([lambda_alpha(g, alpha) for g in drivers])
+    diff = X[:, :1, i0:] - X[:, 1:, i0:]
+    del X  # the distance sweep below sets the study's memory peak
+    da = alpha_infty_rows(diff, alpha, h)
+    ds = np.abs(diff).max(axis=(-2, -1))
+    lams = lambda_alpha_rows(np.stack([g.values for g in drivers]), alpha, h)
     return da, ds, lams
 
 
@@ -277,10 +275,8 @@ def fernique_statistics(
             f"alpha = {alpha} must lie in (1 - H, 1/2) = ({1 - fbm_cfg.hurst:g}, 0.5)"
         )
     grid = make_grid(T, n_main, 0.0)
-    samples = np.empty(n_seeds)
-    for i in range(n_seeds):
-        g = generate_fbm(grid, fbm_cfg, index=i)
-        samples[i] = lambda_alpha(g, alpha)
+    drivers = np.stack([generate_fbm(grid, fbm_cfg, index=i).values for i in range(n_seeds)])
+    samples = lambda_alpha_rows(drivers, alpha, grid.h)
     moments = {p: float(np.mean(samples ** p)) for p in moment_orders}
     exp_moments = {d: float(np.mean(np.exp(samples ** d))) for d in exp_orders}
     quantiles = {q: float(np.quantile(samples, q)) for q in (0.5, 0.9, 0.99)}

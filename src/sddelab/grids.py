@@ -302,7 +302,7 @@ def read_path_csv(file) -> SamplePath:
     """Read a path CSV and rebuild its grid.
 
     The time column must be uniform, contain t = 0 as a node, and end at
-    a positive horizon.
+    a positive horizon; every entry must be finite.
     """
     close = False
     if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
@@ -321,6 +321,8 @@ def read_path_csv(file) -> SamplePath:
             file.close()
     if data.shape[1] != len(cols):
         raise GridError("path CSV rows do not match header width")
+    if not np.isfinite(data).all():
+        raise GridError("path CSV holds a non-finite value")
     times, values = data[:, 0], data[:, 1:]
     n = len(times) - 1
     if n < 2:

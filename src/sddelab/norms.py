@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from ._singular import (
+    anchored_sweep,
     backward_increment_integrals,
     cumulative_from_zero,
     hat_weights,
@@ -36,10 +37,12 @@ from .grids import DelayAlignmentError, GridError, SamplePath, main_segment
 
 __all__ = [
     "norm_alpha_infty",
+    "alpha_infty_rows",
     "norm_holder",
     "norm_alpha_lambda",
     "weyl_derivative",
     "lambda_alpha",
+    "lambda_alpha_rows",
     "norm_1ma_infty_T",
     "norm_alpha_1",
     "delta_r",
@@ -47,9 +50,6 @@ __all__ = [
     "NormReport",
     "compute_norm_report",
 ]
-
-_BLOCK = 256
-
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 0.5:
@@ -75,34 +75,41 @@ def _start_index(f: SamplePath, r: float | None) -> int:
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(values, axis=1)
+    """Euclidean norm over the last axis, without a full-size temporary."""
+    sq = np.einsum("...i,...i->...", values, values)
+    return np.sqrt(sq, out=sq)
+
+
+def _alpha_profile(values: np.ndarray, alpha: float, h: float, start: int) -> np.ndarray:
+    """|f(t)| + backward alpha-integral at every node from start on, per path."""
+    I = backward_increment_integrals(values, alpha + 1.0, h, start=start)[..., start:]
+    I += _magnitudes(values[..., start:, :])
+    return I
+
+
+def alpha_infty_rows(
+    values: np.ndarray, alpha: float, h: float, start: int = 0
+) -> np.ndarray:
+    """norm_alpha_infty of every path of a (..., n_nodes, d) batch on one grid.
+
+    The sup runs over the nodes from index start on; the result has shape
+    (...), and each entry equals the path's own norm_alpha_infty bit for bit.
+    """
+    _check_alpha(alpha)
+    return np.max(_alpha_profile(values, alpha, h, start), axis=-1)
 
 
 def norm_alpha_infty(f: SamplePath, alpha: float, r: float | None = None) -> float:
     """sup_t ( |f(t)| + int_{-r}^t |f(t)-f(s)| (t-s)^(-alpha-1) ds )."""
-    _check_alpha(alpha)
-    s0 = _start_index(f, r)
-    I = backward_increment_integrals(f.values, alpha + 1.0, f.grid.h, start=s0)
-    B = _magnitudes(f.values[s0:]) + I[s0:]
-    return float(np.max(B))
+    return float(alpha_infty_rows(f.values, alpha, f.grid.h, _start_index(f, r)))
 
 
 def _holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
+    """Largest |f(t+lh) - f(t)| / (lh)^mu over lags l, reduced lag by lag."""
     N = values.shape[0] - 1
-    if N < 1:
-        return 0.0
-    m_idx = np.arange(N + 1)
-    denom = np.concatenate(([np.inf], (m_idx[1:] * h) ** mu))
-    best = 0.0
-    for i0 in range(0, N, _BLOCK):
-        rows = np.arange(i0, min(i0 + _BLOCK, N))
-        idx = rows[:, None] + m_idx[None, :]
-        valid = idx <= N
-        diff = values[np.minimum(idx, N)] - values[rows][:, None, :]
-        mag = np.sqrt(np.sum(diff * diff, axis=2))
-        ratio = np.where(valid, mag / denom[None, :], 0.0)
-        best = max(best, float(ratio.max()))
-    return best
+    denom = (np.arange(1, N + 1) * h) ** mu
+    sups = [np.max(_magnitudes(values[l:] - values[:-l])) for l in range(1, N + 1)]
+    return float(np.max(sups / denom, initial=0.0))
 
 
 def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
@@ -126,8 +133,7 @@ def norm_alpha_lambda(
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     s0 = _start_index(f, r)
-    I = backward_increment_integrals(f.values, alpha + 1.0, f.grid.h, start=s0)
-    B = _magnitudes(f.values[s0:]) + I[s0:]
+    B = _alpha_profile(f.values, alpha, f.grid.h, s0)
     # large lambda overflows the history weight e^(lambda r); a node with an
     # exactly zero profile still contributes 0, not inf * 0 = nan
     with np.errstate(over="ignore"):
@@ -159,29 +165,17 @@ def weyl_derivative(g: SamplePath, alpha: float, s: float, t: float) -> float:
     return bracket / float(_gamma(alpha))
 
 
-def _weyl_sup_onecomp(vals: np.ndarray, alpha: float, h: float) -> float:
-    """sup over node pairs of |bracket| for one scalar component.
+def lambda_alpha_rows(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
+    """lambda_alpha of every path of a (..., n_nodes, d) batch on one [0, T] grid.
 
-    One pass per anchor i: signed increments psi_m = g(t_{i+m}) - g(t_i),
-    the anchored hat-rule integral K_m by cumulative sum, and the bracket
-    magnitude |psi_m / (mh)^(1-alpha) + (1-alpha) K_m|.
+    Components enter the sweep as separate scalar rows and each path
+    reports its largest; the result has shape (...), and each entry equals
+    the path's own lambda_alpha bit for bit.
     """
-    N = len(vals) - 1
-    inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
-    P, Q = hat_weights(2.0 - alpha, h, N)
-    Pc, Qc = P[1:], Q[1:]
-    # per-anchor maxima reduced by np.max, which propagates NaN
-    sups = np.empty(N)
-    for i in range(N):
-        L = N - i
-        psi = vals[i + 1 :] - vals[i]
-        cells = Qc[:L] * psi
-        cells[1:] += Pc[1:L] * psi[:-1]
-        K = np.cumsum(cells)
-        np.multiply(psi, inv_denom[:L], out=psi)
-        psi += (1.0 - alpha) * K
-        sups[i] = np.max(np.abs(psi))
-    return float(np.max(sups, initial=0.0))
+    _check_alpha(alpha)
+    comps = np.moveaxis(np.asarray(values, dtype=float), -1, -2)[..., None]
+    sups = anchored_sweep(comps, alpha, h, 1.0 - alpha)
+    return np.max(sups, axis=-1) / float(_gamma(alpha) * _gamma(1.0 - alpha))
 
 
 def lambda_alpha(g: SamplePath, alpha: float) -> float:
@@ -190,13 +184,8 @@ def lambda_alpha(g: SamplePath, alpha: float) -> float:
     Evaluated on the main segment [0, T]; multi-component drivers report
     the largest component value.
     """
-    _check_alpha(alpha)
     gm = main_segment(g)
-    h = gm.grid.h
-    best = max(
-        _weyl_sup_onecomp(gm.values[:, c], alpha, h) for c in range(gm.dim)
-    )
-    return best / float(_gamma(alpha) * _gamma(1.0 - alpha))
+    return float(lambda_alpha_rows(gm.values, alpha, gm.grid.h))
 
 
 def norm_1ma_infty_T(g: SamplePath, alpha: float) -> float:
@@ -204,29 +193,7 @@ def norm_1ma_infty_T(g: SamplePath, alpha: float) -> float:
                    + int_s^t |g(u)-g(s)| (u-s)^(alpha-2) du ) on [0, T]."""
     _check_alpha(alpha)
     gm = main_segment(g)
-    h = gm.grid.h
-    N = gm.grid.n_main
-    if N < 1:
-        return 0.0
-    inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
-    P, Q = hat_weights(2.0 - alpha, h, N)
-    Pc, Qc = P[1:], Q[1:]
-    sups = np.empty(N)
-    vals2 = gm.values
-    for i in range(N):
-        L = N - i
-        if vals2.shape[1] == 1:
-            psi = np.abs(vals2[i + 1 :, 0] - vals2[i, 0])
-        else:
-            diff = vals2[i + 1 :] - vals2[i]
-            psi = np.sqrt(np.sum(diff * diff, axis=1))
-        cells = Qc[:L] * psi
-        cells[1:] += Pc[1:L] * psi[:-1]
-        K = np.cumsum(cells)
-        np.multiply(psi, inv_denom[:L], out=psi)
-        psi += K
-        sups[i] = np.max(psi)
-    return float(np.max(sups))
+    return float(anchored_sweep(gm.values, alpha, gm.grid.h, 1.0, signed=False))
 
 
 def norm_alpha_1(f: SamplePath, alpha: float) -> float:
@@ -306,14 +273,19 @@ def compute_norm_report(
     delta: float = 1.0,
     r: float | None = None,
     driver: SamplePath | None = None,
+    *,
+    driver_lambda: float | None = None,
 ) -> NormReport:
     """Evaluate the whole norm family on f.
 
     The driver functionals (lambda_alpha, norm_1ma) are taken from
-    `driver` when given, else from f's own main segment.  The Hoelder
-    norm uses mu = 1 - alpha.
+    `driver` when given, else from f's own main segment; a caller that
+    already holds lambda_alpha of that path passes it as driver_lambda.
+    The Hoelder norm uses mu = 1 - alpha.
     """
     g = driver if driver is not None else f
+    if driver_lambda is None:
+        driver_lambda = lambda_alpha(g, alpha)
     r_eff = f.grid.r if r is None else float(r)
     return NormReport(
         alpha=alpha,
@@ -323,7 +295,7 @@ def compute_norm_report(
         norm_alpha_infty=norm_alpha_infty(f, alpha, r),
         norm_holder=norm_holder(f, 1.0 - alpha, r),
         norm_alpha_lambda=norm_alpha_lambda(f, alpha, lam, r),
-        lambda_alpha=lambda_alpha(g, alpha),
+        lambda_alpha=driver_lambda,
         delta_r=delta_r(f, alpha, delta, r),
         norm_1ma=norm_1ma_infty_T(g, alpha),
         norm_alpha_1=norm_alpha_1(f, alpha),

@@ -261,12 +261,16 @@ def _finish(
     lam_formula: float | None = None,
     converged: bool = True,
     residuals: tuple[float, ...] = (),
+    lam_g: float | None = None,
 ) -> SolutionBundle:
+    """Bundle a solved path; the report reuses lam_g = Lambda_alpha(g) when given."""
     report = a_pri = reg = None
     if cfg.compute_report:
         lam_used = lam if lam is not None else 1.0
-        report = compute_norm_report(path, cfg.alpha, lam=lam_used, r=path.grid.r, driver=g)
-        a_pri = a_priori_record(path, eta, g, coeffs, cfg.alpha)
+        report = compute_norm_report(
+            path, cfg.alpha, lam=lam_used, r=path.grid.r, driver=g, driver_lambda=lam_g
+        )
+        a_pri = a_priori_record(path, eta, g, coeffs, cfg.alpha, report=report)
         reg = regime_report(coeffs, cfg.alpha, cfg.hurst)
     return SolutionBundle(
         path=path,
@@ -387,7 +391,8 @@ def solve_picard(
     times = grid.times()
     dg = np.diff(g.values, axis=0)
     lam = cfg.lam
-    lam_formula = contraction_lambda(lambda_alpha(g, cfg.alpha), cfg.alpha)
+    lam_g = lambda_alpha(g, cfg.alpha)
+    lam_formula = contraction_lambda(lam_g, cfg.alpha)
     if lam is None:
         lam = stopping_lambda(lam_formula, cfg.picard_tol, grid.t_end)
     if cfg.picard_init == "euler":
@@ -416,7 +421,7 @@ def solve_picard(
     return _finish(
         coeffs, eta, g, cfg, path, "picard",
         iterations=iterations, lam=lam, lam_formula=lam_formula,
-        converged=converged, residuals=tuple(residuals),
+        converged=converged, residuals=tuple(residuals), lam_g=lam_g,
     )
 
 
@@ -611,16 +616,27 @@ def a_priori_record(
     g: SamplePath,
     coeffs: CoefficientSet,
     alpha: float,
+    *,
+    report: NormReport | None = None,
 ) -> APrioriRecord:
+    """Growth-bound quantities of one solved path.
+
+    Lambda_alpha(g) and the measured alpha-norm over [-r, T] are read from
+    `report` when the caller already computed it for this path and driver.
+    """
     phi = phi_gamma_alpha(coeffs.gamma, alpha)
-    lam_g = lambda_alpha(g, alpha)
+    if report is None:
+        lam_g = lambda_alpha(g, alpha)
+        measured = norm_alpha_infty(path, alpha, r=path.grid.r)
+    else:
+        lam_g, measured = report.lambda_alpha, report.norm_alpha_infty
     return APrioriRecord(
         alpha=alpha,
         phi=phi,
         exponent=1.0 / (1.0 - phi),
         eta_norm=eta_norm_alpha(eta, alpha),
         lambda_alpha=lam_g,
-        measured=norm_alpha_infty(path, alpha, r=path.grid.r),
+        measured=measured,
     )
 
 

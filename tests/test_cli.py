@@ -158,6 +158,21 @@ def test_norms_reads_an_external_path(tmp_path):
     assert (out / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_norms_rejects_a_non_finite_input_path(tmp_path, capsys, token):
+    src = tmp_path / "src"
+    assert run(["fbm", "--outdir", src, "--n-main", 128, "--seed", 5]) == 0
+    lines = (src / "path.csv").read_text().splitlines()
+    t, _x = lines[40].split(",")
+    lines[40] = f"{t},{token}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "n"
+    assert run(["norms", "--outdir", out, "--input", bad]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "norms.csv").exists()
+
+
 def test_integrate_writes_certificate(tmp_path):
     out = tmp_path / "i"
     assert run(["integrate", "--outdir", out, "--n-main", 128]) == 0

@@ -1,0 +1,113 @@
+"""The batched singular-kernel sweeps against dense references and per-path calls."""
+
+import numpy as np
+import pytest
+
+from sddelab import FbmConfig, SamplePath, generate_fbm, lambda_alpha, make_grid, norm_alpha_infty
+from sddelab import _singular
+from sddelab._singular import anchored_sweep, backward_increment_integrals, hat_weights
+from sddelab.norms import alpha_infty_rows, lambda_alpha_rows, norm_1ma_infty_T
+
+ALPHA = 0.3
+
+
+def dense_increment_integrals(values, kappa, h, delta, start):
+    """O(N^2) product-linear rule, cell by cell from the hat weights."""
+    vals = values.reshape(len(values), -1)
+    N = len(vals) - 1
+    P, Q = hat_weights(kappa, h, max(N - start, 1))
+    out = np.zeros(N + 1)
+    for j in range(start + 1, N + 1):
+        phi = np.linalg.norm(vals[j] - vals, axis=1) ** delta
+        # cell l spans lags [(l-1)h, lh]: near node j-l+1, far node j-l
+        out[j] = sum(P[l] * phi[j - l + 1] + Q[l] * phi[j - l] for l in range(1, j - start + 1))
+    return out
+
+
+def per_anchor_sweep(vals, alpha, h, c, signed):
+    """One path, one anchor at a time: the loop the batched sweep replaced."""
+    vals = vals.reshape(len(vals), -1)
+    N = len(vals) - 1
+    inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
+    P, Q = hat_weights(2.0 - alpha, h, N)
+    sups = np.empty(N)
+    for i in range(N):
+        L = N - i
+        diff = vals[i + 1 :] - vals[i]
+        psi = diff[:, 0] if signed else np.sqrt(np.sum(diff * diff, axis=1))
+        cells = Q[1 : L + 1] * psi
+        cells[1:] += P[2 : L + 1] * psi[:-1]
+        K = np.cumsum(cells)
+        np.multiply(psi, inv_denom[:L], out=psi)
+        psi += c * K
+        sups[i] = np.max(np.abs(psi))
+    return np.max(sups, initial=0.0)
+
+
+def fbm_rows(n_rows, n=64, dim=1):
+    grid = make_grid(1.0, n)
+    cfg = FbmConfig(hurst=0.75, dim=dim, seed=11)
+    return grid, np.stack([generate_fbm(grid, cfg, index=i).values for i in range(n_rows)])
+
+
+@pytest.mark.parametrize(
+    "dim,delta,start,squeeze",
+    [(1, 1.0, 0, True), (1, 1.0, 0, False), (2, 1.0, 0, False),
+     (1, 0.5, 0, True), (2, 0.5, 7, False), (1, 1.0, 9, True)],
+)
+def test_lag_kernel_matches_the_dense_rule(dim, delta, start, squeeze):
+    grid, rows = fbm_rows(1, n=48, dim=dim)
+    values = rows[0, :, 0] if squeeze else rows[0]
+    got = backward_increment_integrals(values, ALPHA + 1.0, grid.h, delta=delta, start=start)
+    ref = dense_increment_integrals(values, ALPHA + 1.0, grid.h, delta, start)
+    assert got.shape == (grid.n_nodes,)
+    assert np.all(got[: start + 1] == 0.0)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_norms_equal_per_path_calls_across_row_blocks(monkeypatch, dim):
+    grid, rows = fbm_rows(7, dim=dim)
+    # three rows per block: blocks of 3, 3 and 1 rows
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 3 * 8 * rows[0].size)
+    batch = rows.reshape(7, 1, grid.n_nodes, dim)
+    paths = [SamplePath(grid, r) for r in rows]
+    dist = alpha_infty_rows(batch, ALPHA, grid.h)
+    lams = lambda_alpha_rows(batch, ALPHA, grid.h)
+    assert dist.shape == lams.shape == (7, 1)
+    assert np.array_equal(dist[:, 0], [norm_alpha_infty(p, ALPHA) for p in paths])
+    assert np.array_equal(lams[:, 0], [lambda_alpha(p, ALPHA) for p in paths])
+    sweep = anchored_sweep(rows, ALPHA, grid.h, 1.0, signed=False)
+    assert np.array_equal(sweep, [norm_1ma_infty_T(p, ALPHA) for p in paths])
+
+
+def test_a_nan_row_leaves_the_other_rows_bit_identical(monkeypatch):
+    grid, rows = fbm_rows(5)
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 2 * 8 * rows[0].size)
+    bad = rows.copy()
+    bad[2, 30, 0] = np.nan
+    for functional in (
+        lambda v: alpha_infty_rows(v, ALPHA, grid.h),
+        lambda v: lambda_alpha_rows(v, ALPHA, grid.h),
+        lambda v: anchored_sweep(v, ALPHA, grid.h, 1.0, signed=False),
+    ):
+        clean, poisoned = functional(rows), functional(bad)
+        assert np.isnan(poisoned[2])
+        keep = np.arange(5) != 2
+        assert np.array_equal(poisoned[keep], clean[keep])
+        assert np.isfinite(clean).all()
+
+
+@pytest.mark.parametrize("dim,signed", [(1, True), (1, False), (2, False)])
+def test_anchored_sweep_equals_the_per_anchor_loop(dim, signed):
+    grid, rows = fbm_rows(3, n=40, dim=dim)
+    c = 1.0 - ALPHA if signed else 1.0
+    got = anchored_sweep(rows, ALPHA, grid.h, c, signed=signed)
+    ref = [per_anchor_sweep(r, ALPHA, grid.h, c, signed) for r in rows]
+    assert np.array_equal(got, ref)
+
+
+def test_signed_sweeps_reject_vector_rows():
+    _grid, rows = fbm_rows(1, dim=2)
+    with pytest.raises(ValueError, match="scalar-only"):
+        anchored_sweep(rows, ALPHA, 0.1, 1.0)

@@ -438,6 +438,32 @@ def test_a_priori_bound_covers_a_batch():
     assert all(fit.admits(rec) for rec in records)
 
 
+@pytest.mark.parametrize("scheme", ["picard", "euler"])
+def test_a_reported_solve_sweeps_the_driver_once(monkeypatch, scheme):
+    import sddelab.norms
+    import sddelab.solver
+
+    calls = []
+    real = sddelab.norms.lambda_alpha
+
+    def counted(g, alpha):
+        calls.append(alpha)
+        return real(g, alpha)
+
+    monkeypatch.setattr(sddelab.norms, "lambda_alpha", counted)
+    monkeypatch.setattr(sddelab.solver, "lambda_alpha", counted)
+    grid = make_grid(1.0, 128, 0.25)
+    g = driver_on(grid, seed=4)
+    eta = parts(grid)
+    coeffs = coefficient_preset("sine")
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, scheme=scheme)
+    bundle = solve(coeffs, eta, g, cfg)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert bundle.norm_report.lambda_alpha == real(g, ALPHA)
+    assert bundle.a_priori == a_priori_record(bundle.path, eta, g, coeffs, ALPHA)
+
+
 def test_solver_config_validation():
     grid = make_grid(1.0, 64)
     with pytest.raises(ValueError):
