@@ -93,10 +93,10 @@ def _as_rows(values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.ascontiguousarray(rows[:, 0] if d == 1 else rows), batch
 
 
-def _row_blocks(rows: np.ndarray) -> list[slice]:
-    """Slices of rows holding at most _BLOCK_BYTES of data each (at least one row)."""
-    step = max(1, _BLOCK_BYTES // rows[0].nbytes)
-    return [slice(lo, lo + step) for lo in range(0, len(rows), step)]
+def _row_blocks(count: int, row_bytes: int) -> list[slice]:
+    """Slices of count rows holding at most _BLOCK_BYTES of data each (at least one row)."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def _increment_magnitude(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
@@ -139,7 +139,7 @@ def backward_increment_integrals(
         # collapsed per-lag weight W[l-1] = Q[l] + P[l+1]; the farthest node
         # of each row only carries Q, corrected after the sweep.
         W = (Q[1:-1] + P[2:]).tolist()
-        for blk in _row_blocks(rows):
+        for blk in _row_blocks(len(rows), rows[0].nbytes):
             v = rows[blk, ..., start:]
             acc = out[blk, start:]
             for l in range(1, n_lag + 1):
@@ -174,7 +174,7 @@ def anchored_sweep(
         inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
         P, Q = hat_weights(2.0 - alpha, h, N)
         Pc, Qc = P[1:], Q[1:]
-        for blk in _row_blocks(rows):
+        for blk in _row_blocks(len(rows), rows[0].nbytes):
             v = rows[blk]
             best = np.empty((N, len(v)))
             for i in range(N):

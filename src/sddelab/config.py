@@ -13,13 +13,13 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from .fbm import FBM_METHODS
 from .grids import DelayAlignmentError, make_grid
 from .presets import COEFFICIENT_PRESETS, ETA_PRESETS
 
 ENV_PREFIX = "SDDELAB_"
 
 SCHEMES = ("euler", "picard")
-FBM_METHODS = ("exact-cholesky", "circulant")
 
 
 class ConfigError(ValueError):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._singular import _row_blocks
 from .grids import SamplePath, TimeGrid
 
 __all__ = [
@@ -30,14 +31,10 @@ __all__ = [
 #: purpose tag for driver sampling in the keyed RNG scheme.
 PURPOSE_FBM = 1
 
-#: negative circulant eigenvalues larger than this fraction of the top
-#: eigenvalue count as real mass rather than roundoff noise.
-_EIG_NOISE_REL = 1e-10
-#: total negative mass below this fraction of the spectrum is clamped;
-#: anything worse falls back to the Cholesky generator.
-_EIG_MASS_REL = 1e-8
+FBM_METHODS = ("exact-cholesky", "circulant")
 
-_METHODS = ("exact-cholesky", "circulant")
+#: paths per exact-cholesky draw; the (n, take) draw order depends on it
+_CHOLESKY_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,9 @@ class FbmConfig:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.method not in _METHODS:
+        if self.method not in FBM_METHODS:
             raise ValueError(
-                f"method must be one of {_METHODS}, got {self.method!r}"
+                f"method must be one of {FBM_METHODS}, got {self.method!r}"
             )
 
 
@@ -104,50 +101,56 @@ def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
 
 
 def _circulant_eigenvalues(hurst: float, n: int) -> np.ndarray:
-    """Eigenvalues of the length-2n circulant embedding, or None-like
-    sentinel (raises ValueError) when the embedding fails the mass test."""
+    """Eigenvalues of the length-2n circulant embedding of the increments.
+
+    The embedding is nonnegative definite for every hurst in (0, 1)
+    (Dietrich & Newsam 1997; Craigmile 2003); the clamp only removes
+    roundoff below zero.
+    """
     key = (hurst, n)
     eig = _eig_cache.get(key)
     if eig is None:
         rho = fgn_autocovariance(hurst, n)
         row = np.concatenate((rho[:n], [rho[n]], rho[1:n][::-1]))
-        eig = np.fft.fft(row).real
-        top = float(np.max(eig))
-        neg = eig < 0.0
-        heavy = eig < -_EIG_NOISE_REL * top
-        if np.any(heavy):
-            mass = float(-np.sum(eig[heavy]))
-            total = float(np.sum(np.abs(eig)))
-            if mass >= _EIG_MASS_REL * total:
-                raise ValueError(
-                    f"circulant embedding for hurst={hurst}, n={n} has "
-                    f"negative eigenvalue mass {mass:.3e} (spectrum {total:.3e})"
-                )
-        eig = np.where(neg, 0.0, eig)
+        eig = np.maximum(np.fft.fft(row).real, 0.0)
         if len(_eig_cache) > 8:
             _eig_cache.clear()
         _eig_cache[key] = eig
     return eig
 
 
-def _increments_cholesky(hurst: float, n: int, rng: np.random.Generator,
-                         count: int = 1) -> np.ndarray:
-    L = _cholesky_factor(hurst, n)
-    z = rng.standard_normal((n, count))
-    return (L @ z).T
+def _sample_paths(hurst: float, n: int, method: str, h: float,
+                  rng: np.random.Generator, count: int) -> np.ndarray:
+    """count paths of n steps of size h from rng, shape (count, n+1), W(0) = 0.
 
-
-def _increments_circulant(hurst: float, n: int, rng: np.random.Generator,
-                          count: int = 1) -> np.ndarray:
-    eig = _circulant_eigenvalues(hurst, n)
-    m = 2 * n
-    scale = np.sqrt(eig)
-    out = np.empty((count, n))
-    for i in range(count):
-        u = rng.standard_normal(m)
-        v = rng.standard_normal(m)
-        z = np.fft.ifft(scale * (u + 1j * v)) * np.sqrt(m)
-        out[i] = z.real[:n]
+    Circulant paths take, per row, 2n real then 2n imaginary variates, so
+    a batch is the rows' sequential draws and its row blocks only bound
+    memory.  Cholesky blocks draw (n, take) variates.
+    """
+    out = np.empty((count, n + 1))
+    out[:, 0] = 0.0
+    scale = h ** hurst
+    if method == "exact-cholesky":
+        L = _cholesky_factor(hurst, n)
+        blocks = [slice(lo, lo + _CHOLESKY_BLOCK) for lo in range(0, count, _CHOLESKY_BLOCK)]
+    else:
+        m = 2 * n
+        root = np.sqrt(_circulant_eigenvalues(hurst, n))
+        blocks = _row_blocks(count, 2 * m * 8)
+    for blk in blocks:
+        dest = out[blk, 1:]
+        if method == "exact-cholesky":
+            incr = (L @ rng.standard_normal((n, len(dest)))).T
+        else:
+            g = rng.standard_normal((len(dest), 2, m))
+            z = np.empty((len(dest), m), dtype=complex)
+            z.real, z.imag = g[:, 0], g[:, 1]
+            z *= root
+            np.fft.ifft(z, axis=-1, out=z)
+            z *= np.sqrt(m)
+            incr = z.real[:, :n]
+        np.cumsum(incr, axis=1, out=dest)
+        dest *= scale
     return out
 
 
@@ -156,32 +159,14 @@ def generate_fbm(grid: TimeGrid, cfg: FbmConfig, index: int = 0) -> SamplePath:
 
     Increments on [0, T] carry the exact joint law of fbm_covariance
     under either method; `index` addresses independent paths under the
-    same config.  If the circulant embedding is rejected, the Cholesky
-    generator is used and the result metadata carries a fallback flag.
+    same config, and component c draws from its own keyed stream.
     """
-    n = grid.n_main
-    h = grid.h
     values = np.zeros((grid.n_nodes, cfg.dim))
-    method_used, fallback = cfg.method, False
     for c in range(cfg.dim):
         rng = keyed_generator(cfg.seed, PURPOSE_FBM, index, c)
-        if cfg.method == "circulant":
-            try:
-                incr = _increments_circulant(cfg.hurst, n, rng)
-            except ValueError:
-                method_used, fallback = "exact-cholesky", True
-                rng = keyed_generator(cfg.seed, PURPOSE_FBM, index, c)
-                incr = _increments_cholesky(cfg.hurst, n, rng)
-        else:
-            incr = _increments_cholesky(cfg.hurst, n, rng)
-        values[grid.index_of_zero + 1:, c] = np.cumsum(incr[0]) * h ** cfg.hurst
-    meta = {
-        "hurst": cfg.hurst,
-        "seed": cfg.seed,
-        "index": index,
-        "method": method_used,
-        "fallback": fallback,
-    }
+        path = _sample_paths(cfg.hurst, grid.n_main, cfg.method, grid.h, rng, 1)
+        values[grid.index_of_zero:, c] = path[0]
+    meta = {"hurst": cfg.hurst, "seed": cfg.seed, "index": index, "method": cfg.method}
     return SamplePath(grid, values, meta)
 
 
@@ -190,24 +175,15 @@ def sample_fbm_batch(
     cfg: FbmConfig,
     count: int,
     component: int = 0,
-    chunk: int = 16384,
 ) -> np.ndarray:
     """Many independent single-component paths on [0, T], shape (count, n+1).
 
-    Drawn from one keyed stream; meant for distributional tests where
-    per-path addressability is not needed.
+    Drawn from one keyed stream per (seed, component), without per-path
+    addressability; meant for distributional tests.  Circulant paths are
+    drawn row after row, so the first k rows of a batch are the k-path
+    batch; the work runs in row blocks of about half a megabyte of
+    variates, each one batched FFT and one cumsum into the result.
+    exact-cholesky draws blocks of 16,384 paths at a time.
     """
-    n = grid.n_main
     rng = keyed_generator(cfg.seed, PURPOSE_FBM, component)
-    out = np.empty((count, n + 1))
-    out[:, 0] = 0.0
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        if cfg.method == "exact-cholesky":
-            incr = _increments_cholesky(cfg.hurst, n, rng, take)
-        else:
-            incr = _increments_circulant(cfg.hurst, n, rng, take)
-        out[done: done + take, 1:] = np.cumsum(incr, axis=1) * grid.h ** cfg.hurst
-        done += take
-    return out
+    return _sample_paths(cfg.hurst, grid.n_main, cfg.method, grid.h, rng, count)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from sddelab import _singular
+from sddelab import fbm as fbm_module
 from sddelab import (
     FbmConfig,
     fbm_covariance,
@@ -58,7 +60,6 @@ def test_generate_fbm_layout_and_determinism():
     # zero on the history segment including t = 0
     assert np.all(g1.values[: grid.index_of_zero + 1] == 0.0)
     assert g1.meta["method"] == "circulant"
-    assert g1.meta["fallback"] is False
     # distinct path indices give distinct paths
     g3 = generate_fbm(grid, cfg, index=1)
     assert not np.array_equal(g1.values, g3.values)
@@ -105,6 +106,64 @@ def test_batch_is_deterministic_and_chunking_invariant():
     assert np.array_equal(a, b)
     assert a.shape == (40, 33)
     assert np.all(a[:, 0] == 0.0)
+
+
+def test_circulant_embedding_is_nonnegative_definite():
+    # the embedding needs no fallback for any H in (0, 1); the sampler's
+    # clamp only removes roundoff
+    ns = [2 ** k for k in range(1, 13)] + [3, 5, 7, 100, 1000, 3000, 4095]
+    for hurst in np.round(np.arange(0.01, 1.0, 0.01), 2):
+        for n in ns:
+            rho = fgn_autocovariance(hurst, n)
+            row = np.concatenate((rho[:n], [rho[n]], rho[1:n][::-1]))
+            eig = np.fft.fft(row).real
+            assert eig.min() >= 0.0, (hurst, n)
+            assert np.array_equal(fbm_module._circulant_eigenvalues(hurst, n), eig)
+
+
+def per_path_circulant(grid, cfg, count, component=0):
+    """One ifft per path, drawing u then v from the batch stream."""
+    n, m = grid.n_main, 2 * grid.n_main
+    rng = keyed_generator(cfg.seed, fbm_module.PURPOSE_FBM, component)
+    scale = np.sqrt(fbm_module._circulant_eigenvalues(cfg.hurst, n))
+    out = np.zeros((count, n + 1))
+    for i in range(count):
+        u = rng.standard_normal(m)
+        v = rng.standard_normal(m)
+        z = np.fft.ifft(scale * (u + 1j * v)) * np.sqrt(m)
+        out[i, 1:] = np.cumsum(z.real[:n]) * grid.h ** cfg.hurst
+    return out
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.75])
+def test_circulant_batch_equals_per_path_draws_across_row_blocks(monkeypatch, hurst):
+    grid = make_grid(1.0, 48)
+    cfg = FbmConfig(hurst=hurst, seed=6)
+    # three paths of 2 x 96 variates per block: blocks of 3, 3, 3 and 1 rows
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 3 * 2 * 96 * 8)
+    batch = sample_fbm_batch(grid, cfg, 10, component=1)
+    assert np.array_equal(batch, per_path_circulant(grid, cfg, 10, component=1))
+
+
+def test_batch_rows_are_a_prefix_of_a_larger_batch(monkeypatch):
+    grid = make_grid(1.0, 40)
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 4 * 2 * 80 * 8)
+    cfg = FbmConfig(hurst=0.6, seed=8)
+    big = sample_fbm_batch(grid, cfg, 11)
+    for k in (1, 4, 5, 9):
+        assert np.array_equal(sample_fbm_batch(grid, cfg, k), big[:k])
+
+
+def test_cholesky_batch_draws_in_blocks_of_16384_paths():
+    grid = make_grid(1.0, 4)
+    cfg = FbmConfig(hurst=0.7, seed=3, method="exact-cholesky")
+    count = 16384 + 5
+    batch = sample_fbm_batch(grid, cfg, count)
+    rng = keyed_generator(cfg.seed, fbm_module.PURPOSE_FBM, 0)
+    L = fbm_module._cholesky_factor(cfg.hurst, grid.n_main)
+    incr = np.vstack([(L @ rng.standard_normal((grid.n_main, take))).T for take in (16384, 5)])
+    assert np.array_equal(batch[:, 0], np.zeros(count))
+    assert np.array_equal(batch[:, 1:], np.cumsum(incr, axis=1) * grid.h ** cfg.hurst)
 
 
 def test_rejects_bad_configs():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sddelab import _singular
 from sddelab import (
     DelayAlignmentError,
     GridError,
@@ -170,6 +171,68 @@ def test_csv_roundtrip_is_exact():
     back = read_path_csv(io.StringIO(text))
     assert np.array_equal(back.values, x.values)
     assert back.grid.n_main + back.grid.n_history == grid.n_main + grid.n_history
+
+
+def test_csv_text_is_fixed():
+    grid = make_grid(1.0, 4, 0.5)
+    vals = [[0.0, -0.0], [-0.0, 5e-324], [0.1, 1e300], [1 / 3, -2.5],
+            [-1e-7, 123456789.0], [2.0, -1e300], [1.5, 3 * 5e-324]]
+    x = SamplePath(grid, vals)
+    assert path_text(x) == (
+        "t,x_1,x_2\n"
+        "-0.5,0,-0\n"
+        "-0.25,-0,4.9406564584124654e-324\n"
+        "0,0.10000000000000001,1.0000000000000001e+300\n"
+        "0.25,0.33333333333333331,-2.5\n"
+        "0.5,-9.9999999999999995e-08,123456789\n"
+        "0.75,2,-1.0000000000000001e+300\n"
+        "1,1.5,1.4821969375237396e-323\n"
+    )
+    back = read_path_csv(io.StringIO(path_text(x)))
+    assert back.values.tobytes() == x.values.tobytes()
+    assert back.grid == grid
+
+
+def per_row_text(x):
+    """The row-by-row formatting the block writer must reproduce."""
+    lines = ["t," + ",".join(f"x_{i + 1}" for i in range(x.dim))]
+    for t, row in zip(x.times(), x.values):
+        lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_csv_blocks_match_per_row_formatting(monkeypatch, dim):
+    grid = make_grid(2.0, 40, 0.25)
+    vals = np.random.default_rng(dim).standard_normal((grid.n_nodes, dim))
+    vals *= 10.0 ** np.random.default_rng(7).integers(-300, 300, vals.shape)
+    x = SamplePath(grid, vals)
+    # seven rows per formatting block: 45 nodes take seven blocks
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 7 * 24 * (dim + 1))
+    text = path_text(x)
+    assert text == per_row_text(x)
+    assert read_path_csv(io.StringIO(text)).values.tobytes() == x.values.tobytes()
+
+
+def test_csv_file_write_replaces_the_target_atomically(tmp_path):
+    grid = make_grid(1.0, 8, 0.25)
+    target = tmp_path / "path.csv"
+    write_path_csv(SamplePath(grid, np.arange(grid.n_nodes, dtype=float)), target)
+    before = target.read_bytes()
+
+    class FailingPath(SamplePath):
+        def times(self):
+            raise OSError("device full")
+
+    with pytest.raises(OSError, match="device full"):
+        write_path_csv(FailingPath(grid, np.ones(grid.n_nodes)), target)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["path.csv"]
+
+    x = SamplePath(grid, np.full(grid.n_nodes, 2.0))
+    write_path_csv(x, str(target))
+    assert target.read_text() == per_row_text(x)
+    assert [p.name for p in tmp_path.iterdir()] == ["path.csv"]
 
 
 def test_csv_rejects_bad_header():
