@@ -146,7 +146,7 @@ def _sample_paths(hurst: float, n: int, method: str, h: float,
             z = np.empty((len(dest), m), dtype=complex)
             z.real, z.imag = g[:, 0], g[:, 1]
             z *= root
-            np.fft.ifft(z, axis=-1, out=z)
+            z = np.fft.ifft(z, axis=-1)
             z *= np.sqrt(m)
             incr = z.real[:, :n]
         np.cumsum(incr, axis=1, out=dest)

@@ -288,8 +288,9 @@ def write_path_csv(path: SamplePath, file) -> None:
     """Write path to an open text file, or atomically to a filesystem path.
 
     A filesystem target is written to a temporary file in its directory
-    and then moved into place, so a failed write leaves any earlier file
-    as it was.
+    and fsynced, then moved into place, so the target holds the earlier
+    file or the whole new one, also after a crash.  A symlinked target is
+    replaced, not written through.
     """
     if not (isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")):
         _write_csv_text(path, file)
@@ -300,6 +301,8 @@ def write_path_csv(path: SamplePath, file) -> None:
     try:
         with open(tmp, "w", newline="") as fh:
             _write_csv_text(path, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):

@@ -35,6 +35,8 @@ from ._singular import (
 )
 from .grids import DelayAlignmentError, GridError, SamplePath, main_segment
 
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 names it trapz
+
 __all__ = [
     "norm_alpha_infty",
     "alpha_infty_rows",
@@ -204,7 +206,7 @@ def norm_alpha_1(f: SamplePath, alpha: float) -> float:
     p = _magnitudes(fm.values)
     term1 = float(cumulative_from_zero(p, alpha, h)[-1])
     E = backward_increment_integrals(fm.values, alpha + 1.0, h, start=0)
-    term2 = float(np.trapezoid(E, dx=h))
+    term2 = float(_trapezoid(E, dx=h))
     return term1 + term2
 
 

@@ -154,6 +154,17 @@ def test_batch_rows_are_a_prefix_of_a_larger_batch(monkeypatch):
         assert np.array_equal(sample_fbm_batch(grid, cfg, k), big[:k])
 
 
+def test_sampler_keeps_to_the_numpy_1_ifft_signature(monkeypatch):
+    # numpy < 2.0 (pyproject allows >= 1.24) has no out= on np.fft.ifft
+    grid = make_grid(1.0, 32, 0.25)
+    cfg = FbmConfig(hurst=0.7, dim=2, seed=4)
+    batch, path = sample_fbm_batch(grid, cfg, 5), generate_fbm(grid, cfg).values
+    ifft = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda a, n=None, axis=-1, norm=None: ifft(a, n, axis, norm))
+    assert np.array_equal(sample_fbm_batch(grid, cfg, 5), batch)
+    assert np.array_equal(generate_fbm(grid, cfg).values, path)
+
+
 def test_cholesky_batch_draws_in_blocks_of_16384_paths():
     grid = make_grid(1.0, 4)
     cfg = FbmConfig(hurst=0.7, seed=3, method="exact-cholesky")

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -214,7 +215,7 @@ def test_csv_blocks_match_per_row_formatting(monkeypatch, dim):
     assert read_path_csv(io.StringIO(text)).values.tobytes() == x.values.tobytes()
 
 
-def test_csv_file_write_replaces_the_target_atomically(tmp_path):
+def test_csv_file_write_replaces_the_target_atomically(tmp_path, monkeypatch):
     grid = make_grid(1.0, 8, 0.25)
     target = tmp_path / "path.csv"
     write_path_csv(SamplePath(grid, np.arange(grid.n_nodes, dtype=float)), target)
@@ -230,8 +231,12 @@ def test_csv_file_write_replaces_the_target_atomically(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["path.csv"]
 
     x = SamplePath(grid, np.full(grid.n_nodes, 2.0))
+    synced = []  # the whole text reaches the disk before the move
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd).st_size) or fsync(fd))
     write_path_csv(x, str(target))
     assert target.read_text() == per_row_text(x)
+    assert synced == [target.stat().st_size]
     assert [p.name for p in tmp_path.iterdir()] == ["path.csv"]
 
 
