@@ -22,8 +22,7 @@ __all__ = [
     "backward_increment_integrals",
     "anchored_sweep",
     "backward_profile_integrals",
-    "backward_matrix_integrals",
-    "forward_increment_matrix",
+    "iterated_increment_integrals",
     "cumulative_from_zero",
     "quadrature_slack",
 ]
@@ -152,6 +151,33 @@ def backward_increment_integrals(
     return out.reshape(batch + (n_nodes,))
 
 
+def _forward_lags(v: np.ndarray, kappa: float, h: float, signed: bool):
+    """Yield (L, psi, K) for the lags L = 1..N of a block of rows v.
+
+    At lag L, psi[:, i] = f(t_(i+L)) - f(t_i) over the anchors i <= N - L
+    (its euclidean magnitude unless signed) and K[:, i] is the hat-rule
+    integral over u in [t_i, t_(i+L)] of psi_i(u) (u - t_i)^-kappa.  K adds
+    cell L to its lag L-1 value, the additions of a per-anchor cumsum in
+    the same order, so it matches that cumsum bit for bit.  The next lag
+    reads psi and updates K in place, so callers must not write to either.
+    """
+    N = v.shape[-1] - 1
+    P, Q = hat_weights(kappa, h, N)
+    for L in range(1, N + 1):
+        psi = v[..., L:] - v[..., :-L]
+        if not signed:
+            psi = _increment_magnitude(psi)
+        cell = Q[L] * psi
+        if L == 1:
+            K = cell
+        else:
+            cell += P[L] * prev[:, :-1]
+            K = K[:, :-1]
+            K += cell
+        yield L, psi, K
+        prev = psi
+
+
 def anchored_sweep(
     values: np.ndarray, alpha: float, h: float, c: float, signed: bool = True
 ) -> np.ndarray:
@@ -162,41 +188,26 @@ def anchored_sweep(
     of psi_s(u) (u-s)^(alpha-2).  values has the layout of
     backward_increment_integrals and the result has shape (...); a path
     with fewer than two nodes gives 0, and a NaN node gives NaN.  Each
-    anchor s sweeps every row of a cache-sized block at once; each row's
-    arithmetic is independent of its block.
+    lag sweeps every anchor of every row of a cache-sized block at once;
+    each row's arithmetic is independent of its block.
     """
     rows, batch = _as_rows(values)
     if signed and rows.ndim == 3:
         raise ValueError("signed sweeps are scalar-only")
     N = rows.shape[-1] - 1
     sups = np.zeros(len(rows))
-    if N >= 1:
-        inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
-        P, Q = hat_weights(2.0 - alpha, h, N)
-        Pc, Qc = P[1:], Q[1:]
-        for blk in _row_blocks(len(rows), rows[0].nbytes):
-            v = rows[blk]
-            best = np.empty((N, len(v)))
-            for i in range(N):
-                L = N - i
-                psi = v[..., i + 1 :] - v[..., i : i + 1]
-                if not signed:
-                    psi = _increment_magnitude(psi)
-                cells = Qc[:L] * psi
-                cells[:, 1:] += Pc[1:L] * psi[:, :-1]
-                K = np.cumsum(cells, axis=1, out=cells)
-                psi *= inv_denom[:L]
-                K *= c
-                psi += K
-                best[i] = np.abs(psi, out=psi).max(axis=1)
-            sups[blk] = np.max(best, axis=0)
+    inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
+    for blk in _row_blocks(len(rows), rows[0].nbytes):
+        best = sups[blk]
+        for L, psi, K in _forward_lags(rows[blk], 2.0 - alpha, h, signed):
+            val = K * c
+            val += psi * inv_denom[L - 1]
+            np.maximum(best, np.abs(val, out=val).max(axis=1), out=best)
     return sups.reshape(batch)
 
 
-def backward_profile_integrals(
-    profile: np.ndarray, kappa: float, h: float, start: int = 0
-) -> np.ndarray:
-    """I[j] = integral over s in [t_start, t_j] of p(s) (t_j - s)^-kappa ds.
+def backward_profile_integrals(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:
+    """I[j] = integral over s in [t_0, t_j] of p(s) (t_j - s)^-kappa ds.
 
     The profile does not vanish at the anchor, so this requires kappa < 1.
     """
@@ -205,56 +216,27 @@ def backward_profile_integrals(
     p = np.asarray(profile, dtype=float)
     N = len(p) - 1
     out = np.zeros(N + 1)
-    n_lag = N - start
-    if n_lag < 1:
-        return out
-    P, Q = hat_weights(kappa, h, n_lag + 1)
-    W = np.concatenate(([P[1]], Q[1:-1] + P[2:]))
-    conv = np.convolve(p[start:], W)[: n_lag + 1]
-    rows = np.arange(start + 1, N + 1)
-    out[rows] = conv[1:] - P[rows - start + 1] * p[start]
+    if N >= 1:
+        P, Q = hat_weights(kappa, h, N + 1)
+        W = np.concatenate(([P[1]], Q[1:-1] + P[2:]))
+        out[1:] = np.convolve(p, W)[1 : N + 1] - P[2:] * p[0]
     return out
 
 
-def backward_matrix_integrals(
-    phi: np.ndarray, kappa: float, h: float, start: int = 0
-) -> np.ndarray:
-    """I[j] = integral of phi[j, k-as-s] (t_j - s)^-kappa ds from t_start to t_j.
+def iterated_increment_integrals(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
+    """I[j] = integral over s in [t_0, t_j] of Psi(s, t_j) (t_j - s)^-alpha ds.
 
-    phi[j, k] holds the integrand at node k for anchor j (lower triangle
-    used).  For kappa >= 1 the diagonal phi[j, j] must vanish.
+    Psi(s, t) integrates |f(u) - f(s)| (u - s)^(-alpha-1) over u in [s, t]
+    for a scalar path f; the sweep runs by lag in O(n_nodes) memory.
     """
-    phi = np.asarray(phi, dtype=float)
-    N = phi.shape[0] - 1
-    out = np.zeros(N + 1)
-    n_lag = N - start
-    if n_lag < 1:
-        return out
-    P, Q = hat_weights(kappa, h, n_lag + 1)
-    W = np.concatenate(([P[1]], Q[1:-1] + P[2:]))
-    for j in range(start + 1, N + 1):
-        m = j - start
-        seg = phi[j, start: j + 1]
-        out[j] = np.dot(W[:m + 1][::-1], seg) - P[m + 1] * seg[0]
+    v = np.asarray(values, dtype=float)
+    P, Q = hat_weights(alpha, h, len(v))
+    out, psi0 = np.zeros(len(v)), np.zeros(len(v))  # psi0[j] = Psi(t_0, t_j)
+    for L, _, K in _forward_lags(v[None], alpha + 1.0, h, signed=False):
+        out[L:] += (Q[L] + P[L + 1]) * K[0]
+        psi0[L] = K[0, 0]
+    out -= P[1:] * psi0
     return out
-
-
-def forward_increment_matrix(
-    values: np.ndarray, kappa: float, h: float, delta: float = 1.0
-) -> np.ndarray:
-    """Full matrix Psi[i, j] = integral over [t_i, t_j] of |f(u)-f(t_i)|^delta (u-t_i)^-kappa du.
-
-    Materializes (n_nodes)^2 floats; intended for moderate grids.
-    """
-    rows, _ = _as_rows(values)
-    N = rows.shape[-1] - 1
-    P, Q = hat_weights(kappa, h, N)
-    Psi = np.zeros((N + 1, N + 1))
-    for i in range(N):
-        psi = _increment_magnitude(rows[..., i:] - rows[..., i : i + 1], delta)[0]
-        L = N - i
-        Psi[i, i + 1 :] = np.cumsum(P[1 : L + 1] * psi[:-1] + Q[1 : L + 1] * psi[1:])
-    return Psi
 
 
 def cumulative_from_zero(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:

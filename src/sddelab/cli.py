@@ -6,10 +6,11 @@ certificate), ``solve`` (one delay equation run), ``converge`` (the
 delay-to-zero Monte Carlo study), and ``rerun`` (re-execute a manifest
 line and verify byte-identical outputs).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
-error, 3 statistical gates failed.  Every file a run writes lives under
-its configured ``outdir``, and each run appends one line to the
-directory's ``manifest.jsonl``.
+Exit codes: 0 success, 1 runtime failure (out of memory included, e.g.
+the dense ``exact-cholesky`` factor at a large n_main), 2 usage or
+configuration error, 3 statistical gates failed.  Every file a run
+writes lives under its configured ``outdir`` and is written atomically,
+and each run appends one line to the directory's ``manifest.jsonl``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .convergence import (
 )
 from .fbm import FbmConfig, generate_fbm
 from .grids import (
-    GridError,
     InitialSegment,
+    atomic_open,
     make_grid,
     read_path_csv,
     write_path_csv,
@@ -89,7 +90,7 @@ def _run_norms(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
         ("norm_1ma", report.norm_1ma),
         ("norm_alpha_1", report.norm_alpha_1),
     )
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out) as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
         fh.write(",".join(_fmt(value) for _, value in columns) + "\n")
     print(
@@ -116,10 +117,8 @@ def _run_integrate(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
     if result.certificate is not None:
         cert = result.certificate
         cert_path = outdir / "certificate.json"
-        cert_path.write_text(
-            json.dumps(dataclasses.asdict(cert), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        with atomic_open(cert_path) as fh:
+            fh.write(json.dumps(dataclasses.asdict(cert), sort_keys=True, indent=2) + "\n")
         outputs.append(cert_path)
         status = "satisfied" if cert.satisfied else "VIOLATED"
         print(
@@ -163,10 +162,8 @@ def _run_solve(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
         "regime": dataclasses.asdict(bundle.regime),
     }
     rec_path = outdir / "record.json"
-    rec_path.write_text(
-        json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_open(rec_path) as fh:
+        fh.write(json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n")
     tail = f"{bundle.iterations} iterations, lam={bundle.lam:g}" if bundle.lam else "direct"
     print(f"solve[{cfg['preset']}]: {bundle.scheme_used} ({tail}) -> {out}")
     if not bundle.converged:
@@ -238,7 +235,7 @@ def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
     gates = evaluate_convergence_gates(report, fit)
 
     samples = outdir / "samples.csv"
-    with open(samples, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(samples) as fh:
         fh.write("seed,r,dist_alpha,dist_sup,Lambda_alpha\n")
         for i, seed in enumerate(report.seeds):
             lam_i = report.lambda_alpha_samples[i]
@@ -248,7 +245,7 @@ def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
                     f"{_fmt(report.dist_sup[i, j])},{_fmt(lam_i)}\n"
                 )
     summary = outdir / "summary.csv"
-    with open(summary, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(summary) as fh:
         fh.write("r,p,mean,stderr\n")
         for j, r in enumerate(report.delays):
             for i, p in enumerate(report.p_list):
@@ -257,7 +254,8 @@ def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
                     f"{_fmt(report.lp_stderr[i, j])}\n"
                 )
     plot = outdir / "plot_convergence.py"
-    plot.write_text(_PLOT_SCRIPT, encoding="utf-8")
+    with atomic_open(plot) as fh:
+        fh.write(_PLOT_SCRIPT)
 
     print(
         f"converge[{cfg['preset']}]: {cfg['n_seeds']} seeds, "
@@ -297,6 +295,11 @@ def _run_rerun(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"manifest has {len(records)} records; index {args.index} is out of range"
         ) from None
+    if record.version != __version__:
+        print(
+            f"rerun: recorded version {record.version} differs from {__version__}",
+            file=sys.stderr,
+        )
     cfg = dict(record.config)
     cfg["outdir"] = args.outdir
     validate_config(record.subcommand, cfg)
@@ -368,11 +371,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GridError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, DivergenceError, MemoryError) as exc:
+        # GridError is a ValueError; MemoryError comes from e.g. a dense factor
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -7,6 +7,7 @@ accumulation, so they are reproducible to a few machine epsilons.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -22,9 +23,12 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "InitialSegment",
+    "aligned_steps",
     "make_grid",
+    "require_same_grid",
     "shift_by_delay",
     "main_segment",
+    "atomic_open",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -95,28 +99,57 @@ class TimeGrid:
         """The [0, T] portion of this grid as a grid in its own right."""
         return TimeGrid(0.0, self.t_end, 0, self.n_main, self.h)
 
+    def history_start(self, r: float | None) -> int:
+        """Index of the node at -r, aligned and within the history (None: node 0)."""
+        if r is None:
+            return 0
+        n = aligned_steps(r, self.h)
+        if n > self.n_history:
+            raise GridError(f"r={r} needs {n} history steps, the grid carries {self.n_history}")
+        return self.index_of_zero - n
+
+
+def aligned_steps(r: float, h: float) -> int:
+    """The number of steps h in a delay r >= 0, snapped within ALIGNMENT_TOL.
+
+    r < 0 raises GridError, and r further off the grid DelayAlignmentError.
+    """
+    if r < 0:
+        raise GridError(f"delay r must be >= 0, got {r}")
+    steps = r / h
+    n = int(round(steps))
+    if abs(steps - n) > ALIGNMENT_TOL:
+        raise DelayAlignmentError(
+            f"delay r={r} is not aligned with the grid: r/h={steps} "
+            f"is {abs(steps - n):.3e} from an integer"
+        )
+    return n
+
+
+def require_same_grid(
+    a: TimeGrid, b: TimeGrid, message: str = "paths do not share a main-segment grid"
+) -> None:
+    """Raise GridMismatchError unless a and b have the same nodes, to rounding."""
+    tol = 4 * np.finfo(float).eps
+    if (
+        (a.n_history, a.n_main) != (b.n_history, b.n_main)
+        or abs(a.h - b.h) > tol * max(1.0, a.h)
+        or abs(a.t_end - b.t_end) > tol * max(1.0, abs(a.t_end))
+    ):
+        raise GridMismatchError(message)
+
 
 def make_grid(T: float, n_main: int, r: float = 0.0) -> TimeGrid:
     """Build the uniform grid on [-r, T] with step h = T / n_main.
 
-    The delay must be a whole number of steps: values of r with
-    |r/h - round(r/h)| <= 1e-9 are snapped, anything further off raises
-    DelayAlignmentError.
+    The delay must be a whole number of steps (see aligned_steps).
     """
     if not T > 0:
         raise GridError(f"horizon T must be positive, got {T}")
     if n_main < 2:
         raise GridError(f"n_main must be >= 2, got {n_main}")
-    if r < 0:
-        raise GridError(f"delay r must be >= 0, got {r}")
     h = T / n_main
-    steps = r / h
-    n_history = int(round(steps))
-    if abs(steps - n_history) > ALIGNMENT_TOL:
-        raise DelayAlignmentError(
-            f"delay r={r} is not aligned with the grid: r/h={steps} "
-            f"is {abs(steps - n_history):.3e} from an integer"
-        )
+    n_history = aligned_steps(r, h)
     return TimeGrid(-n_history * h, T, n_history, n_main, h)
 
 
@@ -219,14 +252,7 @@ class InitialSegment:
     @classmethod
     def from_function(cls, eta: Callable[[float], float | np.ndarray],
                       r: float, h: float) -> "InitialSegment":
-        if r < 0:
-            raise GridError(f"delay r must be >= 0, got {r}")
-        steps = r / h
-        n = int(round(steps))
-        if abs(steps - n) > ALIGNMENT_TOL:
-            raise DelayAlignmentError(
-                f"history length r={r} is not a whole number of steps h={h}"
-            )
+        n = aligned_steps(r, h)
         times = -n * h + np.arange(n + 1) * h
         rows = [np.atleast_1d(np.asarray(eta(t), dtype=float)) for t in times]
         return cls(h, np.vstack(rows))
@@ -261,17 +287,8 @@ def shift_by_delay(x: SamplePath, r: float) -> SamplePath:
     With r = 0 this is the restriction of x to its main segment.
     """
     grid = x.grid
-    steps = r / grid.h
-    n_shift = int(round(steps))
-    if abs(steps - n_shift) > ALIGNMENT_TOL:
-        raise DelayAlignmentError(f"shift r={r} is not a whole number of steps")
-    if n_shift < 0 or n_shift > grid.n_history:
-        raise DelayAlignmentError(
-            f"shift r={r} needs {n_shift} history steps, grid has {grid.n_history}"
-        )
-    start = grid.index_of_zero - n_shift
-    out_grid = grid.main_only()
-    return SamplePath(out_grid, x.values[start: start + grid.n_main + 1])
+    start = grid.history_start(r)
+    return SamplePath(grid.main_only(), x.values[start: start + grid.n_main + 1])
 
 
 def main_segment(x: SamplePath) -> SamplePath:
@@ -284,23 +301,22 @@ def main_segment(x: SamplePath) -> SamplePath:
 # ascending time, decimal values with 17 significant digits (lossless for
 # float64).
 
-def write_path_csv(path: SamplePath, file) -> None:
-    """Write path to an open text file, or atomically to a filesystem path.
+@contextlib.contextmanager
+def atomic_open(file):
+    """Open a text file for writing that appears whole or not at all.
 
-    A filesystem target is written to a temporary file in its directory
-    and fsynced, then moved into place, so the target holds the earlier
-    file or the whole new one, also after a crash.  A symlinked target is
-    replaced, not written through.
+    The text goes to a temporary file in the target's directory, which is
+    fsynced and then moved into place, so the target holds the earlier
+    file or the whole new one, also after a crash.  If the writer fails,
+    the temporary file is removed and the target is left as it was.  A
+    symlinked target is replaced, not written through.
     """
-    if not (isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")):
-        _write_csv_text(path, file)
-        return
     target = os.fsdecode(file)
     head, name = os.path.split(target)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
-            _write_csv_text(path, fh)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, target)
@@ -308,6 +324,15 @@ def write_path_csv(path: SamplePath, file) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_path_csv(path: SamplePath, file) -> None:
+    """Write path to an open text file, or through atomic_open to a filesystem path."""
+    if not (isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")):
+        _write_csv_text(path, file)
+        return
+    with atomic_open(file) as fh:
+        _write_csv_text(path, fh)
 
 
 def _write_csv_text(path: SamplePath, fh) -> None:
@@ -354,8 +379,11 @@ def read_path_csv(file) -> SamplePath:
         raise GridError("path CSV times must be strictly increasing")
     if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(1.0, h):
         raise GridError("path CSV times are not uniformly spaced")
-    k0 = int(round(-times[0] / h))
-    if abs(-times[0] / h - k0) > ALIGNMENT_TOL or not 0 <= k0 < n:
+    try:
+        k0 = aligned_steps(-times[0], h)
+    except GridError:
+        k0 = n
+    if k0 >= n:
         raise GridError("path CSV must contain t = 0 as a grid node")
     grid = TimeGrid(times[0], times[-1], k0, n - k0, h)
     recomputed = grid.times()

@@ -19,13 +19,12 @@ import numpy as np
 
 from ._singular import (
     backward_increment_integrals,
-    backward_matrix_integrals,
     backward_profile_integrals,
     cumulative_from_zero,
-    forward_increment_matrix,
+    iterated_increment_integrals,
     quadrature_slack,
 )
-from .grids import GridMismatchError, SamplePath, TimeGrid, main_segment
+from .grids import GridMismatchError, SamplePath, TimeGrid, main_segment, require_same_grid
 from .norms import lambda_alpha, norm_alpha_1
 
 __all__ = [
@@ -39,16 +38,6 @@ __all__ = [
     "SigmaIncrementReport",
     "check_sigma_increment_bound",
 ]
-
-
-def _compatible_main(a: TimeGrid, b: TimeGrid) -> None:
-    eps = np.finfo(float).eps
-    if (
-        a.n_main != b.n_main
-        or abs(a.h - b.h) > 4 * eps * max(1.0, a.h)
-        or abs(a.t_end - b.t_end) > 4 * eps * max(1.0, abs(a.t_end))
-    ):
-        raise GridMismatchError("paths do not share a main-segment grid")
 
 
 def left_point_accumulate(f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
@@ -95,7 +84,7 @@ def young_integral(
     of f and g sum above 1.
     """
     fm, gm = main_segment(f), main_segment(g)
-    _compatible_main(fm.grid, gm.grid)
+    require_same_grid(fm.grid, gm.grid)
     if fm.dim == 1 and gm.dim == 1:
         fmat = fm.values[:, :, None]
     elif fm.dim == 1:
@@ -219,7 +208,7 @@ def check_nr_bounds(f: SamplePath, g: SamplePath, alpha: float) -> NrBoundsRepor
     Young integral of f against g.
     """
     fm, gm = main_segment(f), main_segment(g)
-    _compatible_main(fm.grid, gm.grid)
+    require_same_grid(fm.grid, gm.grid)
     if fm.dim != 1 or gm.dim != 1:
         raise GridMismatchError("check_nr_bounds expects scalar paths")
     h = fm.grid.h
@@ -239,8 +228,7 @@ def check_nr_bounds(f: SamplePath, g: SamplePath, alpha: float) -> NrBoundsRepor
     # alpha-integral inequality: fit its free constant
     lhs2 = backward_increment_integrals(G, alpha + 1.0, h)
     t1 = backward_profile_integrals(np.abs(fv), 2.0 * alpha, h)
-    Psi = forward_increment_matrix(fv, alpha + 1.0, h)
-    t2 = backward_matrix_integrals(Psi.T, alpha, h)
+    t2 = iterated_increment_integrals(fv, alpha, h)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (lhs2 - lam * t2) / (lam * t1)
     c = c[np.isfinite(c)]
@@ -294,7 +282,7 @@ def check_sigma_increment_bound(
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     fm, hm = main_segment(f), main_segment(h_path)
-    _compatible_main(fm.grid, hm.grid)
+    require_same_grid(fm.grid, hm.grid)
     if fm.dim != 1 or hm.dim != 1:
         raise GridMismatchError("check_sigma_increment_bound expects scalar paths")
     step = fm.grid.h

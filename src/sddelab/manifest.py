@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -80,6 +81,8 @@ def record_run(
     )
     with open(outdir / MANIFEST_NAME, "a", encoding="utf-8") as fh:
         fh.write(record.to_json() + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     return record
 
 

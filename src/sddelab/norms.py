@@ -33,7 +33,7 @@ from ._singular import (
     cumulative_from_zero,
     hat_weights,
 )
-from .grids import DelayAlignmentError, GridError, SamplePath, main_segment
+from .grids import SamplePath, main_segment
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 names it trapz
 
@@ -58,24 +58,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
 
 
-def _start_index(f: SamplePath, r: float | None) -> int:
-    """Node index of -r inside f's grid (default: the grid's own start)."""
-    grid = f.grid
-    if r is None:
-        return 0
-    if r < 0:
-        raise GridError(f"delay r must be >= 0, got {r}")
-    steps = r / grid.h
-    n = int(round(steps))
-    if abs(steps - n) > 1e-9:
-        raise DelayAlignmentError(f"r={r} is not a whole number of grid steps")
-    if n > grid.n_history:
-        raise GridError(
-            f"r={r} needs {n} history steps but the grid carries {grid.n_history}"
-        )
-    return grid.index_of_zero - n
-
-
 def _magnitudes(values: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, without a full-size temporary."""
     sq = np.einsum("...i,...i->...", values, values)
@@ -87,6 +69,18 @@ def _alpha_profile(values: np.ndarray, alpha: float, h: float, start: int) -> np
     I = backward_increment_integrals(values, alpha + 1.0, h, start=start)[..., start:]
     I += _magnitudes(values[..., start:, :])
     return I
+
+
+def _weighted_sup(B: np.ndarray, lam: float, times: np.ndarray) -> float:
+    """sup over nodes of e^(-lambda t) B(t), for lambda >= 0."""
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
+    # large lambda overflows the history weight e^(lambda r); a node with an
+    # exactly zero profile still contributes 0, not inf * 0 = nan
+    with np.errstate(over="ignore"):
+        weights = np.exp(-lam * times)
+        vals = np.where(B == 0.0, 0.0, weights * B)
+    return float(np.max(vals))
 
 
 def alpha_infty_rows(
@@ -103,7 +97,7 @@ def alpha_infty_rows(
 
 def norm_alpha_infty(f: SamplePath, alpha: float, r: float | None = None) -> float:
     """sup_t ( |f(t)| + int_{-r}^t |f(t)-f(s)| (t-s)^(-alpha-1) ds )."""
-    return float(alpha_infty_rows(f.values, alpha, f.grid.h, _start_index(f, r)))
+    return float(alpha_infty_rows(f.values, alpha, f.grid.h, f.grid.history_start(r)))
 
 
 def _holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
@@ -118,7 +112,7 @@ def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
     """sup norm plus the Hoelder-mu increment ratio over [-r, T]."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"Hoelder exponent mu must lie in (0, 1], got {mu}")
-    s0 = _start_index(f, r)
+    s0 = f.grid.history_start(r)
     vals = f.values[s0:]
     return float(np.max(_magnitudes(vals))) + _holder_seminorm(vals, mu, f.grid.h)
 
@@ -132,16 +126,9 @@ def norm_alpha_lambda(
     recovers norm_alpha_infty).
     """
     _check_alpha(alpha)
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    s0 = _start_index(f, r)
+    s0 = f.grid.history_start(r)
     B = _alpha_profile(f.values, alpha, f.grid.h, s0)
-    # large lambda overflows the history weight e^(lambda r); a node with an
-    # exactly zero profile still contributes 0, not inf * 0 = nan
-    with np.errstate(over="ignore"):
-        weights = np.exp(-lam * f.grid.times()[s0:])
-        vals = np.where(B == 0.0, 0.0, weights * B)
-    return float(np.max(vals))
+    return _weighted_sup(B, lam, f.grid.times()[s0:])
 
 
 def weyl_derivative(g: SamplePath, alpha: float, s: float, t: float) -> float:
@@ -221,7 +208,7 @@ def delta_r(
         raise ValueError(
             f"delta_r needs alpha < delta/(1+delta); got alpha={alpha}, delta={delta}"
         )
-    s0 = _start_index(f, r)
+    s0 = f.grid.history_start(r)
     I = backward_increment_integrals(
         f.values, alpha + 1.0, f.grid.h, delta=delta, start=s0
     )
@@ -283,22 +270,28 @@ def compute_norm_report(
     The driver functionals (lambda_alpha, norm_1ma) are taken from
     `driver` when given, else from f's own main segment; a caller that
     already holds lambda_alpha of that path passes it as driver_lambda.
-    The Hoelder norm uses mu = 1 - alpha.
+    The Hoelder norm uses mu = 1 - alpha.  One backward alpha-integral
+    from -r gives norm_alpha_infty, norm_alpha_lambda and, for delta = 1,
+    delta_r.
     """
+    _check_alpha(alpha)
     g = driver if driver is not None else f
     if driver_lambda is None:
         driver_lambda = lambda_alpha(g, alpha)
-    r_eff = f.grid.r if r is None else float(r)
+    s0 = f.grid.history_start(r)
+    B = backward_increment_integrals(f.values, alpha + 1.0, f.grid.h, start=s0)[s0:]
+    d_r = float(np.max(B)) if delta == 1.0 else delta_r(f, alpha, delta, r)
+    B += _magnitudes(f.values[s0:])
     return NormReport(
         alpha=alpha,
         lam=lam,
         delta=delta,
-        r=r_eff,
-        norm_alpha_infty=norm_alpha_infty(f, alpha, r),
+        r=f.grid.r if r is None else float(r),
+        norm_alpha_infty=float(np.max(B)),
         norm_holder=norm_holder(f, 1.0 - alpha, r),
-        norm_alpha_lambda=norm_alpha_lambda(f, alpha, lam, r),
+        norm_alpha_lambda=_weighted_sup(B, lam, f.grid.times()[s0:]),
         lambda_alpha=driver_lambda,
-        delta_r=delta_r(f, alpha, delta, r),
+        delta_r=d_r,
         norm_1ma=norm_1ma_infty_T(g, alpha),
         norm_alpha_1=norm_alpha_1(f, alpha),
     )

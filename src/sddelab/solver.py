@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import GridError, InitialSegment, SamplePath, TimeGrid
+from .grids import GridError, InitialSegment, SamplePath, TimeGrid, require_same_grid
 from .integrate import PathWindow
 from .norms import NormReport, compute_norm_report, lambda_alpha, norm_alpha_infty, norm_alpha_lambda
 
@@ -236,9 +236,7 @@ def _check_inputs(
         raise GridError(f"initial segment step {eta.h} does not match grid step {grid.h}")
     if eta.dim != coeffs.d:
         raise GridError(f"initial segment dim {eta.dim} != coefficient dim {coeffs.d}")
-    gm = g.grid
-    if gm.n_history != 0 or gm.n_main != grid.n_main or abs(gm.h - grid.h) > 4 * eps * max(1.0, grid.h):
-        raise GridError("driver must live on the main [0, T] grid of the solver")
+    require_same_grid(grid.main_only(), g.grid, "driver must live on the main [0, T] grid of the solver")
     if g.dim != coeffs.m:
         raise GridError(f"driver dim {g.dim} != coefficient driver dim {coeffs.m}")
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sddelab import cli, fbm
 from sddelab.cli import main
 from sddelab.config import ConfigError, parse_config_file, resolve_config
 from sddelab.manifest import read_manifest, sha256_file, verify_outputs
@@ -289,3 +290,46 @@ def test_rerun_bad_index_is_a_usage_error(tmp_path):
     assert run(["fbm", "--outdir", first, "--n-main", 64]) == 0
     assert run(["rerun", "--manifest", first, "--index", 5,
                 "--outdir", tmp_path / "x"]) == 2
+
+
+def test_rerun_flags_a_version_mismatch_but_exits_on_digests(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run(["fbm", "--outdir", first, "--n-main", 64]) == 0
+    manifest = first / "manifest.jsonl"
+    line = json.loads(manifest.read_text())
+    line["version"] = "0.0.0-old"
+    manifest.write_text(json.dumps(line) + "\n")
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", first, "--outdir", tmp_path / "again"]) == 0
+    err = capsys.readouterr().err
+    assert f"rerun: recorded version 0.0.0-old differs from {cli.__version__}" in err
+
+
+def test_out_of_memory_exits_1_with_an_error_line(tmp_path, capsys, monkeypatch):
+    def no_memory(hurst, n):
+        raise MemoryError("Unable to allocate the dense factor")
+
+    monkeypatch.setattr(fbm, "_cholesky_factor", no_memory)
+    code = run(["fbm", "--outdir", tmp_path / "o", "--n-main", 64,
+                "--method", "exact-cholesky"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: Unable to allocate the dense factor\n"
+    assert not (tmp_path / "o" / "path.csv").exists()
+
+
+def test_a_failing_output_writer_keeps_the_earlier_file(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    assert run(["norms", "--outdir", out, "--n-main", 64]) == 0
+    before = (out / "norms.csv").read_bytes()
+    fmt, count = cli._fmt, []
+
+    def failing(x):  # the header is written, then the fourth value fails
+        count.append(x)
+        if len(count) > 3:
+            raise OSError("device full")
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", failing)
+    assert run(["norms", "--outdir", out, "--n-main", 64, "--seed", 3]) == 1
+    assert (out / "norms.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "norms.csv"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab import _singular
+from sddelab.grids import atomic_open
 from sddelab import (
     DelayAlignmentError,
     GridError,
@@ -238,6 +239,21 @@ def test_csv_file_write_replaces_the_target_atomically(tmp_path, monkeypatch):
     assert target.read_text() == per_row_text(x)
     assert synced == [target.stat().st_size]
     assert [p.name for p in tmp_path.iterdir()] == ["path.csv"]
+
+
+def test_a_writer_failing_partway_leaves_the_earlier_file(tmp_path):
+    target = tmp_path / "record.json"
+    target.write_text("{}\n")
+    with pytest.raises(RuntimeError, match="halfway"):
+        with atomic_open(target) as fh:
+            fh.write('{"partial": ')
+            raise RuntimeError("halfway")
+    assert target.read_text() == "{}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+    with atomic_open(str(target)) as fh:
+        fh.write("new\n")
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
 
 
 def test_csv_rejects_bad_header():

@@ -12,6 +12,8 @@ Reference values below are hand-derived for simple paths on [0, 1]:
 * f(t) = t^2, alpha = 0.3: sup-type norm = 1 + 2/(1-a) - 1/(2-a).
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as Gamma
 
+from sddelab import norms
+from sddelab.norms import NormReport
 from sddelab import (
     FbmConfig,
     SamplePath,
@@ -224,22 +228,42 @@ def test_estimated_roughness_tracks_the_driver(rough_driver):
     assert smooth > 0.95
 
 
-def test_norm_report_collects_every_functional(rough_driver):
-    rep = compute_norm_report(rough_driver, ALPHA, lam=2.0)
-    assert rep.alpha == ALPHA
-    assert rep.lam == 2.0
-    assert rep.r == 0.0
-    assert rep.norm_alpha_infty == pytest.approx(
-        norm_alpha_infty(rough_driver, ALPHA), rel=1e-14
-    )
-    assert rep.lambda_alpha == pytest.approx(
-        lambda_alpha(rough_driver, ALPHA), rel=1e-14
-    )
-    assert rep.norm_alpha_lambda <= rep.norm_alpha_infty
-    assert rep.norm_holder >= rep.norm_alpha_infty * 0.0  # finite, nonnegative
-    assert np.isfinite(
-        [rep.norm_holder, rep.delta_r, rep.norm_1ma, rep.norm_alpha_1]
-    ).all()
+def test_norm_report_collects_every_functional():
+    # every field equals its standalone functional exactly, for each start and delta
+    grid = make_grid(1.0, 256, 0.25)
+    walk = np.random.default_rng(3).standard_normal(grid.n_nodes).cumsum()
+    f = SamplePath(grid, walk * grid.h ** 0.75)
+    for r, delta in itertools.product((None, 0.0, 0.25), (1.0, 0.8)):
+        rep = compute_norm_report(f, ALPHA, lam=2.0, delta=delta, r=r)
+        assert rep == NormReport(
+            alpha=ALPHA,
+            lam=2.0,
+            delta=delta,
+            r=0.25 if r is None else r,
+            norm_alpha_infty=norm_alpha_infty(f, ALPHA, r),
+            norm_holder=norm_holder(f, 1.0 - ALPHA, r),
+            norm_alpha_lambda=norm_alpha_lambda(f, ALPHA, 2.0, r),
+            lambda_alpha=lambda_alpha(f, ALPHA),
+            delta_r=delta_r(f, ALPHA, delta, r),
+            norm_1ma=norm_1ma_infty_T(f, ALPHA),
+            norm_alpha_1=norm_alpha_1(f, ALPHA),
+        ), (r, delta)
+        assert np.isfinite(dataclasses.astuple(rep)).all()
+
+
+def test_norm_report_runs_the_lag_kernel_once_per_start(monkeypatch, rough_driver):
+    calls = []
+    kernel = norms.backward_increment_integrals
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("delta", 1.0))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "backward_increment_integrals", counting)
+    compute_norm_report(rough_driver, ALPHA, lam=2.0)
+    assert len(calls) == 2  # the alpha-profile and norm_alpha_1
+    compute_norm_report(rough_driver, ALPHA, lam=2.0, delta=0.8)
+    assert calls[2:] == [1.0, 0.8, 1.0]  # delta_r keeps its own call
 
 
 def test_norm_report_takes_driver_functionals_from_the_driver(rough_driver):

@@ -5,7 +5,12 @@ import pytest
 
 from sddelab import FbmConfig, SamplePath, generate_fbm, lambda_alpha, make_grid, norm_alpha_infty
 from sddelab import _singular
-from sddelab._singular import anchored_sweep, backward_increment_integrals, hat_weights
+from sddelab._singular import (
+    anchored_sweep,
+    backward_increment_integrals,
+    hat_weights,
+    iterated_increment_integrals,
+)
 from sddelab.norms import alpha_infty_rows, lambda_alpha_rows, norm_1ma_infty_T
 
 ALPHA = 0.3
@@ -42,6 +47,30 @@ def per_anchor_sweep(vals, alpha, h, c, signed):
         psi += c * K
         sups[i] = np.max(np.abs(psi))
     return np.max(sups, initial=0.0)
+
+
+def dense_forward_matrix(values, kappa, h):
+    """Psi[i, j] = forward hat-rule integral of |f(u)-f(t_i)| (u-t_i)^-kappa over [t_i, t_j]."""
+    N = len(values) - 1
+    P, Q = hat_weights(kappa, h, N)
+    Psi = np.zeros((N + 1, N + 1))
+    for i in range(N):
+        psi = np.abs(values[i:] - values[i])
+        L = N - i
+        Psi[i, i + 1 :] = np.cumsum(P[1 : L + 1] * psi[:-1] + Q[1 : L + 1] * psi[1:])
+    return Psi
+
+
+def dense_backward_matrix_sum(phi, kappa, h):
+    """I[j] = backward hat-rule integral of phi[j, .] (t_j - s)^-kappa over [t_0, t_j]."""
+    N = phi.shape[0] - 1
+    P, Q = hat_weights(kappa, h, N + 1)
+    W = np.concatenate(([P[1]], Q[1:-1] + P[2:]))
+    out = np.zeros(N + 1)
+    for j in range(1, N + 1):
+        seg = phi[j, : j + 1]
+        out[j] = np.dot(W[: j + 1][::-1], seg) - P[j + 1] * seg[0]
+    return out
 
 
 def fbm_rows(n_rows, n=64, dim=1):
@@ -99,12 +128,31 @@ def test_a_nan_row_leaves_the_other_rows_bit_identical(monkeypatch):
 
 
 @pytest.mark.parametrize("dim,signed", [(1, True), (1, False), (2, False)])
-def test_anchored_sweep_equals_the_per_anchor_loop(dim, signed):
-    grid, rows = fbm_rows(3, n=40, dim=dim)
+def test_anchored_sweep_equals_the_per_anchor_loop(monkeypatch, dim, signed):
     c = 1.0 - ALPHA if signed else 1.0
-    got = anchored_sweep(rows, ALPHA, grid.h, c, signed=signed)
-    ref = [per_anchor_sweep(r, ALPHA, grid.h, c, signed) for r in rows]
-    assert np.array_equal(got, ref)
+    # n = 1 and 2 steps, then 40 steps in one block and in blocks of two rows
+    for n, rows_per_block in [(1, None), (2, None), (40, None), (40, 2)]:
+        rows = np.random.default_rng(n).standard_normal((5, n + 1, dim)).cumsum(axis=1)
+        if rows_per_block is not None:
+            monkeypatch.setattr(_singular, "_BLOCK_BYTES", rows_per_block * rows[0].nbytes)
+        got = anchored_sweep(rows, ALPHA, 1.0 / n, c, signed=signed)
+        ref = [per_anchor_sweep(r, ALPHA, 1.0 / n, c, signed) for r in rows]
+        assert np.array_equal(got, ref), (n, rows_per_block)
+
+
+@pytest.mark.parametrize("n", [2, 3, 48])
+def test_lag_swept_iterated_integrals_match_the_dense_matrix(n):
+    grid, rows = fbm_rows(1, n=n)
+    fv = rows[0, :, 0]
+    Psi = dense_forward_matrix(fv, ALPHA + 1.0, grid.h)
+    # the running K of every lag is the forward matrix's L-th diagonal, bit for bit
+    lags = _singular._forward_lags(fv[None], ALPHA + 1.0, grid.h, signed=False)
+    for L, _psi, K in lags:
+        assert np.array_equal(K[0], np.diagonal(Psi, L))
+    ref = dense_backward_matrix_sum(Psi.T, ALPHA, grid.h)
+    got = iterated_increment_integrals(fv, ALPHA, grid.h)
+    assert got[0] == ref[0] == 0.0
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_signed_sweeps_reject_vector_rows():
