@@ -126,9 +126,7 @@ def aligned_steps(r: float, h: float) -> int:
     return n
 
 
-def require_same_grid(
-    a: TimeGrid, b: TimeGrid, message: str = "paths do not share a main-segment grid"
-) -> None:
+def require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
     """Raise GridMismatchError unless a and b have the same nodes, to rounding."""
     tol = 4 * np.finfo(float).eps
     if (
@@ -136,7 +134,7 @@ def require_same_grid(
         or abs(a.h - b.h) > tol * max(1.0, a.h)
         or abs(a.t_end - b.t_end) > tol * max(1.0, abs(a.t_end))
     ):
-        raise GridMismatchError(message)
+        raise GridMismatchError("paths do not share a main-segment grid")
 
 
 def make_grid(T: float, n_main: int, r: float = 0.0) -> TimeGrid:
@@ -379,8 +377,10 @@ def read_path_csv(file) -> SamplePath:
         raise GridError("path CSV times must be strictly increasing")
     if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(1.0, h):
         raise GridError("path CSV times are not uniformly spaced")
+    # a first time within the alignment tolerance above 0 is the node t = 0
+    r0 = 0.0 if 0.0 < times[0] <= ALIGNMENT_TOL * h else -times[0]
     try:
-        k0 = aligned_steps(-times[0], h)
+        k0 = aligned_steps(r0, h)
     except GridError:
         k0 = n
     if k0 >= n:

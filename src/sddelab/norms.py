@@ -71,18 +71,6 @@ def _alpha_profile(values: np.ndarray, alpha: float, h: float, start: int) -> np
     return I
 
 
-def _weighted_sup(B: np.ndarray, lam: float, times: np.ndarray) -> float:
-    """sup over nodes of e^(-lambda t) B(t), for lambda >= 0."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    # large lambda overflows the history weight e^(lambda r); a node with an
-    # exactly zero profile still contributes 0, not inf * 0 = nan
-    with np.errstate(over="ignore"):
-        weights = np.exp(-lam * times)
-        vals = np.where(B == 0.0, 0.0, weights * B)
-    return float(np.max(vals))
-
-
 def alpha_infty_rows(
     values: np.ndarray, alpha: float, h: float, start: int = 0
 ) -> np.ndarray:
@@ -126,9 +114,16 @@ def norm_alpha_lambda(
     recovers norm_alpha_infty).
     """
     _check_alpha(alpha)
+    if lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {lam}")
     s0 = f.grid.history_start(r)
     B = _alpha_profile(f.values, alpha, f.grid.h, s0)
-    return _weighted_sup(B, lam, f.grid.times()[s0:])
+    # large lambda overflows the history weight e^(lambda r); a node with an
+    # exactly zero profile still contributes 0, not inf * 0 = nan
+    with np.errstate(over="ignore"):
+        weights = np.exp(-lam * f.grid.times()[s0:])
+        vals = np.where(B == 0.0, 0.0, weights * B)
+    return float(np.max(vals))
 
 
 def weyl_derivative(g: SamplePath, alpha: float, s: float, t: float) -> float:
@@ -270,28 +265,22 @@ def compute_norm_report(
     The driver functionals (lambda_alpha, norm_1ma) are taken from
     `driver` when given, else from f's own main segment; a caller that
     already holds lambda_alpha of that path passes it as driver_lambda.
-    The Hoelder norm uses mu = 1 - alpha.  One backward alpha-integral
-    from -r gives norm_alpha_infty, norm_alpha_lambda and, for delta = 1,
-    delta_r.
+    The Hoelder norm uses mu = 1 - alpha.
     """
-    _check_alpha(alpha)
     g = driver if driver is not None else f
     if driver_lambda is None:
         driver_lambda = lambda_alpha(g, alpha)
-    s0 = f.grid.history_start(r)
-    B = backward_increment_integrals(f.values, alpha + 1.0, f.grid.h, start=s0)[s0:]
-    d_r = float(np.max(B)) if delta == 1.0 else delta_r(f, alpha, delta, r)
-    B += _magnitudes(f.values[s0:])
+    r_eff = f.grid.r if r is None else float(r)
     return NormReport(
         alpha=alpha,
         lam=lam,
         delta=delta,
-        r=f.grid.r if r is None else float(r),
-        norm_alpha_infty=float(np.max(B)),
+        r=r_eff,
+        norm_alpha_infty=norm_alpha_infty(f, alpha, r),
         norm_holder=norm_holder(f, 1.0 - alpha, r),
-        norm_alpha_lambda=_weighted_sup(B, lam, f.grid.times()[s0:]),
+        norm_alpha_lambda=norm_alpha_lambda(f, alpha, lam, r),
         lambda_alpha=driver_lambda,
-        delta_r=d_r,
+        delta_r=delta_r(f, alpha, delta, r),
         norm_1ma=norm_1ma_infty_T(g, alpha),
         norm_alpha_1=norm_alpha_1(f, alpha),
     )

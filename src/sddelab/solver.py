@@ -236,7 +236,7 @@ def _check_inputs(
         raise GridError(f"initial segment step {eta.h} does not match grid step {grid.h}")
     if eta.dim != coeffs.d:
         raise GridError(f"initial segment dim {eta.dim} != coefficient dim {coeffs.d}")
-    require_same_grid(grid.main_only(), g.grid, "driver must live on the main [0, T] grid of the solver")
+    require_same_grid(grid.main_only(), g.grid)
     if g.dim != coeffs.m:
         raise GridError(f"driver dim {g.dim} != coefficient driver dim {coeffs.m}")
 

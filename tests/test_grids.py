@@ -261,6 +261,17 @@ def test_csv_rejects_bad_header():
         read_path_csv(io.StringIO("time,value\n0,1\n0.5,2\n1,3\n"))
 
 
+@pytest.mark.parametrize("t0", [1e-17, -1e-17, 1e-12, -1e-12])
+def test_csv_first_time_near_zero_snaps_the_same_on_both_sides(t0):
+    # either sign snaps to the node t = 0; only the drift check tells them apart
+    text = f"t,x_1\n{t0!r},0\n0.01,1\n0.02,2\n0.03,3\n"
+    if abs(t0) < 4 * np.finfo(float).eps:
+        assert read_path_csv(io.StringIO(text)).grid.index_of_zero == 0
+    else:
+        with pytest.raises(GridError, match="drift"):
+            read_path_csv(io.StringIO(text))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=64),

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as Gamma
 
-from sddelab import norms
 from sddelab.norms import NormReport
 from sddelab import (
     FbmConfig,
@@ -249,21 +248,6 @@ def test_norm_report_collects_every_functional():
             norm_alpha_1=norm_alpha_1(f, ALPHA),
         ), (r, delta)
         assert np.isfinite(dataclasses.astuple(rep)).all()
-
-
-def test_norm_report_runs_the_lag_kernel_once_per_start(monkeypatch, rough_driver):
-    calls = []
-    kernel = norms.backward_increment_integrals
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("delta", 1.0))
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(norms, "backward_increment_integrals", counting)
-    compute_norm_report(rough_driver, ALPHA, lam=2.0)
-    assert len(calls) == 2  # the alpha-profile and norm_alpha_1
-    compute_norm_report(rough_driver, ALPHA, lam=2.0, delta=0.8)
-    assert calls[2:] == [1.0, 0.8, 1.0]  # delta_r keeps its own call
 
 
 def test_norm_report_takes_driver_functionals_from_the_driver(rough_driver):
