@@ -94,7 +94,7 @@ def _as_rows(values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def _row_blocks(count: int, row_bytes: int) -> list[slice]:
     """Slices of count rows holding at most _BLOCK_BYTES of data each (at least one row)."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
+    step = max(1, _BLOCK_BYTES // max(row_bytes, 1))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
@@ -138,7 +138,7 @@ def backward_increment_integrals(
         # collapsed per-lag weight W[l-1] = Q[l] + P[l+1]; the farthest node
         # of each row only carries Q, corrected after the sweep.
         W = (Q[1:-1] + P[2:]).tolist()
-        for blk in _row_blocks(len(rows), rows[0].nbytes):
+        for blk in _row_blocks(len(rows), rows[:1].nbytes):
             v = rows[blk, ..., start:]
             acc = out[blk, start:]
             for l in range(1, n_lag + 1):
@@ -197,7 +197,7 @@ def anchored_sweep(
     N = rows.shape[-1] - 1
     sups = np.zeros(len(rows))
     inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
-    for blk in _row_blocks(len(rows), rows[0].nbytes):
+    for blk in _row_blocks(len(rows), rows[:1].nbytes):
         best = sups[blk]
         for L, psi, K in _forward_lags(rows[blk], 2.0 - alpha, h, signed):
             val = K * c

@@ -6,11 +6,12 @@ certificate), ``solve`` (one delay equation run), ``converge`` (the
 delay-to-zero Monte Carlo study), and ``rerun`` (re-execute a manifest
 line and verify byte-identical outputs).
 
-Exit codes: 0 success, 1 runtime failure (out of memory included, e.g.
-the dense ``exact-cholesky`` factor at a large n_main), 2 usage or
-configuration error, 3 statistical gates failed.  Every file a run
-writes lives under its configured ``outdir`` and is written atomically,
-and each run appends one line to the directory's ``manifest.jsonl``.
+Exit codes: 0 success, 1 runtime failure (out of memory included; an
+``exact-cholesky`` n_main whose 24 n^2-byte factor exceeds physical
+memory is refused before allocating), 2 usage or configuration error,
+3 statistical gates failed.  Every file a run writes lives under its
+configured ``outdir`` and is written atomically, and each run appends
+one line to the directory's ``manifest.jsonl``.
 """
 
 from __future__ import annotations

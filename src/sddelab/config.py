@@ -16,10 +16,9 @@ from typing import Any, Mapping
 from .fbm import FBM_METHODS
 from .grids import DelayAlignmentError, make_grid
 from .presets import COEFFICIENT_PRESETS, ETA_PRESETS
+from .solver import SCHEMES
 
 ENV_PREFIX = "SDDELAB_"
-
-SCHEMES = ("euler", "picard")
 
 
 class ConfigError(ValueError):

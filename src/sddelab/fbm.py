@@ -12,6 +12,7 @@ by the constant 0 over the history segment [-r, 0].
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,21 @@ _eig_cache: dict[tuple[float, int], np.ndarray] = {}
 
 
 def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
+    """Dense factor of the increment covariance, cached per (hurst, n).
+
+    Index, covariance and factor take 24 n^2 bytes; more than physical
+    memory (where os.sysconf tells it) raises MemoryError up front.
+    """
     key = (hurst, n)
     L = _chol_cache.get(key)
     if L is None:
+        try:
+            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):
+            have = float("inf")
+        if 24 * n * n > have:
+            raise MemoryError(f"exact-cholesky at n = {n} needs {24 * n * n} bytes, "
+                              f"more than the {have} bytes of physical memory")
         rho = fgn_autocovariance(hurst, n - 1)
         idx = np.arange(n)
         C = rho[np.abs(idx[:, None] - idx[None, :])]

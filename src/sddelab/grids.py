@@ -126,13 +126,17 @@ def aligned_steps(r: float, h: float) -> int:
     return n
 
 
+def same_step(a: float, b: float) -> bool:
+    """Whether two grid steps or endpoints agree to rounding, relative to max(1, |a|)."""
+    return abs(a - b) <= 4 * np.finfo(float).eps * max(1.0, abs(a))
+
+
 def require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
     """Raise GridMismatchError unless a and b have the same nodes, to rounding."""
-    tol = 4 * np.finfo(float).eps
     if (
         (a.n_history, a.n_main) != (b.n_history, b.n_main)
-        or abs(a.h - b.h) > tol * max(1.0, a.h)
-        or abs(a.t_end - b.t_end) > tol * max(1.0, abs(a.t_end))
+        or not same_step(a.h, b.h)
+        or not same_step(a.t_end, b.t_end)
     ):
         raise GridMismatchError("paths do not share a main-segment grid")
 

@@ -118,63 +118,56 @@ def young_integral(
 
 
 class PathWindow:
-    """Read-only view of a path on [-r, t], the argument of hereditary drifts."""
+    """Read-only view of paths on [-r, t], the argument of hereditary drifts.
 
-    __slots__ = ("_times", "_values", "t", "r")
+    values is (..., n_nodes, d); upto is one front node or an increasing
+    array of them, which adds a front axis before d.  Every functional is
+    returned per front.  The window starts at node 0 of every row.
+    """
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, upto: int, r: float):
-        t_view = times[: upto + 1]
-        v_view = values[: upto + 1]
-        v_view = v_view.view()
+    __slots__ = ("_values", "_upto", "t", "r")
+
+    def __init__(self, times: np.ndarray, values: np.ndarray, upto: int | np.ndarray, r: float):
+        v_view = values[..., : np.max(upto) + 1, :].view()
         v_view.setflags(write=False)
-        self._times = t_view
         self._values = v_view
-        self.t = float(times[upto])
+        self._upto = upto
+        self.t = times[..., upto]
         self.r = r
 
     @property
-    def times(self) -> np.ndarray:
-        return self._times
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    @property
     def current(self) -> np.ndarray:
-        return self._values[-1]
+        return self._values[..., self._upto, :]
 
     def sup(self) -> np.ndarray:
-        """Componentwise maximum over the window."""
-        return np.max(self._values, axis=0)
+        """Componentwise maximum over the window, per front."""
+        return np.maximum.accumulate(self._values, axis=-2)[..., self._upto, :]
 
-    def sup_abs(self) -> float:
-        return float(np.max(np.abs(self._values)))
+    def sup_abs(self) -> np.ndarray:
+        """Largest absolute entry over the window, per front."""
+        return np.maximum.accumulate(np.abs(self._values).max(-1), -1)[..., self._upto]
 
 
 def drift_integral(
-    b: Callable[[float, PathWindow], np.ndarray | float],
+    b: Callable[[np.ndarray, PathWindow], np.ndarray],
     x: SamplePath,
     grid: TimeGrid | None = None,
 ) -> SamplePath:
     """F(t) = int_0^t b(s, x restricted to [-r, s]) ds by left-point sums.
 
-    Returns the cumulative drift on the main [0, T] grid, starting at 0.
+    b is called once, with the (n_main, 1) front times and a PathWindow
+    over every main front, and returns (n_main, d).  Returns the
+    cumulative drift on the main [0, T] grid, starting at 0.
     """
     if grid is not None and grid != x.grid:
         raise GridMismatchError("drift_integral grid does not match the path")
     g = x.grid
     times = g.times()
-    i0 = g.index_of_zero
-    evals = np.empty((g.n_main, x.dim))
-    for j in range(g.n_main):
-        w = PathWindow(times, x.values, i0 + j, g.r)
-        val = np.atleast_1d(np.asarray(b(w.t, w), dtype=float))
-        if val.shape != (x.dim,):
-            raise GridMismatchError(
-                f"drift returned shape {val.shape}, expected ({x.dim},)"
-            )
-        evals[j] = val
+    fronts = np.arange(g.index_of_zero, g.index_of_zero + g.n_main)
+    window = PathWindow(times, x.values, fronts, g.r)
+    evals = np.asarray(b(times[fronts, None], window), dtype=float)
+    if evals.shape != (g.n_main, x.dim):
+        raise GridMismatchError(f"drift returned {evals.shape}, expected ({g.n_main}, {x.dim})")
     out = np.zeros((g.n_main + 1, x.dim))
     np.cumsum(evals * g.h, axis=0, out=out[1:])
     return SamplePath(g.main_only(), out)

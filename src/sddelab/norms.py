@@ -88,12 +88,15 @@ def norm_alpha_infty(f: SamplePath, alpha: float, r: float | None = None) -> flo
     return float(alpha_infty_rows(f.values, alpha, f.grid.h, f.grid.history_start(r)))
 
 
+def _lag_sups(values: np.ndarray, lags) -> np.ndarray:
+    """Largest increment magnitude |f(t + l h) - f(t)| over t, for each lag l."""
+    return np.array([np.max(_magnitudes(values[l:] - values[:-l])) for l in lags])
+
+
 def _holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
     """Largest |f(t+lh) - f(t)| / (lh)^mu over lags l, reduced lag by lag."""
-    N = values.shape[0] - 1
-    denom = (np.arange(1, N + 1) * h) ** mu
-    sups = [np.max(_magnitudes(values[l:] - values[:-l])) for l in range(1, N + 1)]
-    return float(np.max(sups / denom, initial=0.0))
+    lags = np.arange(1, values.shape[0])
+    return float(np.max(_lag_sups(values, lags) / (lags * h) ** mu, initial=0.0))
 
 
 def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
@@ -216,20 +219,12 @@ def estimate_holder_exponent(f: SamplePath) -> float:
     A rough diagnostic of the Hoelder regularity of a sampled path, used
     to sanity-check drivers; dyadic lags up to a quarter of the grid.
     """
-    vals = f.values
-    N = vals.shape[0] - 1
-    lags, sups = [], []
-    m = 1
-    while m <= max(N // 4, 1):
-        diff = vals[m:] - vals[:-m]
-        sup = float(np.max(np.linalg.norm(diff, axis=1)))
-        if sup > 0:
-            lags.append(m * f.grid.h)
-            sups.append(sup)
-        m *= 2
-    if len(lags) < 2:
+    lags = 1 << np.arange(max((f.values.shape[0] - 1) // 4, 1).bit_length())
+    sups = _lag_sups(f.values, lags)
+    live = sups > 0
+    if np.count_nonzero(live) < 2:
         raise ValueError("path too short or constant: cannot estimate exponent")
-    slope = np.polyfit(np.log(lags), np.log(sups), 1)[0]
+    slope = np.polyfit(np.log(lags[live] * f.grid.h), np.log(sups[live]), 1)[0]
     return float(slope)
 
 

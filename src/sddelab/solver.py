@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import GridError, InitialSegment, SamplePath, TimeGrid, require_same_grid
+from .grids import GridError, InitialSegment, SamplePath, TimeGrid, require_same_grid, same_step
 from .integrate import PathWindow
 from .norms import NormReport, compute_norm_report, lambda_alpha, norm_alpha_infty, norm_alpha_lambda
 
@@ -48,6 +48,8 @@ __all__ = [
     "RegimeReport",
     "regime_report",
 ]
+
+SCHEMES = ("euler", "picard")
 
 # hypothesis checks allow this much relative slack before flagging
 HYP_REL_SLACK = 1e-6
@@ -74,7 +76,10 @@ class CoefficientSet:
     sigma(t, x) maps states of shape (..., d) to (..., d, m) and a pointwise
     drift b(t, x) maps them to (..., d), elementwise over the leading batch
     axes; t is a float or node times of shape (..., 1).  A hereditary drift
-    b(t, window) -> R^d reads one path on [-r, t] through a window.  The constants:
+    b(t, window) reads the paths on [-r, t] through a PathWindow, which
+    returns every functional per front and per row; it is called once per
+    Picard iteration (all main fronts), once per drift_integral call and
+    once per Euler step (one front, every row).  The constants:
 
     m0    space-Lipschitz and time-Hoelder constant of sigma
     mn    Hoelder-delta constant of the spatial derivative (per box N)
@@ -148,7 +153,7 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if self.scheme not in ("euler", "picard"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be euler or picard, got {self.scheme!r}")
         if self.lam is not None and self.lam < 1:
             raise ValueError(f"lambda must be >= 1, got {self.lam}")
@@ -227,12 +232,11 @@ def _check_inputs(
     coeffs: CoefficientSet, eta: InitialSegment, g: SamplePath, cfg: SolverConfig
 ) -> None:
     grid = cfg.grid
-    eps = np.finfo(float).eps
     if eta.n_steps != grid.n_history:
         raise GridError(
             f"initial segment has {eta.n_steps} steps but the grid history has {grid.n_history}"
         )
-    if abs(eta.h - grid.h) > 4 * eps * max(1.0, grid.h):
+    if not same_step(grid.h, eta.h):
         raise GridError(f"initial segment step {eta.h} does not match grid step {grid.h}")
     if eta.dim != coeffs.d:
         raise GridError(f"initial segment dim {eta.dim} != coefficient dim {coeffs.d}")
@@ -299,8 +303,9 @@ def _euler_steps(
     i0 = nodes - 1 - n_main; a row with lag history steps reads its sigma
     argument at node k - lag.  dg[..., j, :], the driver increment of step
     j, broadcasts against the rows.  The one-path operation order is kept,
-    so each row equals its own batch-of-one solve bit for bit.  Hereditary
-    drifts read a PathWindow of one path, so they need a batch of one.
+    so each row equals its own batch-of-one solve bit for bit.  A hereditary
+    drift reads every row through one PathWindow that starts at node 0, so
+    each row must hold its own history there, not padding.
     """
     batch, (nodes, d) = X.shape[:-2], X.shape[-2:]
     n = dg.shape[-2]
@@ -316,10 +321,7 @@ def _euler_steps(
         k = i0 + j
         t_k = times[k]
         x = X[..., k, :]
-        if pointwise:
-            bv = drift_fn(t_k, x)
-        else:
-            bv = drift_fn(t_k, PathWindow(times, X[0], k, r))
+        bv = drift_fn(t_k, x if pointwise else PathWindow(times, X, k, r))
         bv = np.asarray(bv, dtype=float).reshape(x.shape)
         lagged = X.reshape(-1, d).take(lag_nodes + k, axis=0)
         sv = np.asarray(sigma_fn(t_k, lagged), dtype=float).reshape(sigma_shape)
@@ -363,10 +365,10 @@ def _apply_operator(
     d, m = coeffs.d, coeffs.m
     front = times[i0 : i0 + n]
     if coeffs.drift_kind == "pointwise":
-        bev = coeffs.drift(front[:, None], y[i0 : i0 + n])
+        state = y[i0 : i0 + n]
     else:
-        bev = [coeffs.drift(t_k, PathWindow(times, y, i0 + j, grid.r)) for j, t_k in enumerate(front)]
-    bev = np.asarray(bev, dtype=float).reshape(n, d)
+        state = PathWindow(times, y, np.arange(i0, i0 + n), grid.r)
+    bev = np.asarray(coeffs.drift(front[:, None], state), dtype=float).reshape(n, d)
     sev = np.asarray(coeffs.sigma(front[:, None], y[i0 - nh : i0 - nh + n]), dtype=float)
     terms = bev * grid.h + np.einsum("kdm,km->kd", sev.reshape(n, d, m), dg)
     out = y.copy()
@@ -535,34 +537,23 @@ def validate_hypotheses(
     rhs = 1.0 + norm(xs) ** coeffs.gamma
     clauses.append(ClauseReport("sigma-growth", _quotient(lhs, rhs), coeffs.k0, n))
 
+    # drift clauses: the drift at x and at y, their gap and the size of x;
+    # hereditary drifts are probed with random piecewise-linear windows
+    # on [-r, t], one pair (f, h) of n_knots values per sample
     if coeffs.drift_kind == "pointwise":
-        bl = norm(rows(coeffs.drift, tcol, xs) - rows(coeffs.drift, tcol, ys))
-        clauses.append(ClauseReport("drift-lipschitz", _quotient(bl, norm(xs - ys)), coeffs.ln, n))
-        bg = norm(rows(coeffs.drift, tcol, xs))
-        cap = coeffs.l0 * norm(xs) + np.array([coeffs.b0_at(t) for t in ts])
-        clauses.append(ClauseReport("drift-growth", _quotient(bg, cap), 1.0, n))
+        bx, by = rows(coeffs.drift, tcol, xs), rows(coeffs.drift, tcol, ys)
+        gap, size = norm(xs - ys), norm(xs)
     else:
-        # hereditary clauses: random piecewise-linear windows on [-r, t]
         n_knots = 17
-        bl = np.empty(n)
-        slhs = np.empty(n)
-        bg = np.empty(n)
-        cap = np.empty(n)
-        for i in range(n):
-            t = ts[i]
-            times_i = np.linspace(-r, t, n_knots)
-            f = rng.uniform(-box, box, size=(n_knots, d))
-            hh = rng.uniform(-box, box, size=(n_knots, d))
-            wf = PathWindow(times_i, f, n_knots - 1, r)
-            wh = PathWindow(times_i, hh, n_knots - 1, r)
-            bl[i] = np.linalg.norm(
-                np.asarray(coeffs.drift(t, wf), float) - np.asarray(coeffs.drift(t, wh), float)
-            )
-            slhs[i] = np.max(np.linalg.norm(f - hh, axis=1))
-            bg[i] = np.linalg.norm(np.asarray(coeffs.drift(t, wf), float))
-            cap[i] = coeffs.l0 * wf.sup_abs() + coeffs.b0_at(t)
-        clauses.append(ClauseReport("drift-lipschitz", _quotient(bl, slhs), coeffs.ln, n))
-        clauses.append(ClauseReport("drift-growth", _quotient(bg, cap), 1.0, n))
+        knots = np.linspace(-r, ts, n_knots, axis=-1)
+        f, hh = np.moveaxis(rng.uniform(-box, box, size=(n, 2, n_knots, d)), 1, 0)
+        wf = PathWindow(knots, f, n_knots - 1, r)
+        bx = rows(coeffs.drift, tcol, wf)
+        by = rows(coeffs.drift, tcol, PathWindow(knots, hh, n_knots - 1, r))
+        gap, size = np.max(np.linalg.norm(f - hh, axis=-1), axis=-1), wf.sup_abs()
+    clauses.append(ClauseReport("drift-lipschitz", _quotient(norm(bx - by), gap), coeffs.ln, n))
+    cap = coeffs.l0 * size + np.array([coeffs.b0_at(t) for t in ts])
+    clauses.append(ClauseReport("drift-growth", _quotient(norm(bx), cap), 1.0, n))
 
     return HypothesisReport(tuple(clauses))
 

@@ -317,6 +317,16 @@ def test_out_of_memory_exits_1_with_an_error_line(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "o" / "path.csv").exists()
 
 
+def test_an_oversized_cholesky_factor_is_refused_before_allocating(tmp_path, capsys):
+    # 24 n^2 bytes at n = 2^21 is about 105 TB, above any physical memory
+    code = run(["fbm", "--outdir", tmp_path / "o", "--n-main", 2097152,
+                "--method", "exact-cholesky"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: exact-cholesky at n = 2097152 needs")
+    assert not (tmp_path / "o" / "path.csv").exists()
+
+
 def test_a_failing_output_writer_keeps_the_earlier_file(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run(["norms", "--outdir", out, "--n-main", 64]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sddelab import (
     FbmConfig,
@@ -114,12 +116,42 @@ def test_path_window_views_the_past():
     k = grid.index_of_zero + 4  # t = 0.5
     w = PathWindow(times, x.values, k, grid.r)
     assert w.t == pytest.approx(0.5)
-    assert w.times[0] == pytest.approx(-0.25)
     assert np.allclose(w.current, [0.5])
     assert np.allclose(w.sup(), [0.5])
     assert w.sup_abs() == pytest.approx(0.5)
+    # a drift cannot write into the path it is shown
     with pytest.raises(ValueError):
-        w.values[0, 0] = 1.0
+        w.current[0] = 1.0
+
+
+_ENTRIES = st.one_of(
+    st.floats(-4.0, 4.0), st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0])
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_a_multi_front_window_equals_its_single_front_windows(shape, data):
+    n_rows, n_nodes, d = shape
+    size = n_rows * n_nodes * d
+    values = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+    fronts = np.array(sorted(data.draw(st.sets(st.integers(0, n_nodes - 1), min_size=1))))
+    times = -1.0 + 0.25 * np.arange(n_nodes)
+    w = PathWindow(times, values, fronts, 1.0)
+    current, sup, sup_abs = w.current, w.sup(), w.sup_abs()
+    assert np.array_equal(w.t, times[fronts])
+    for j, k in enumerate(fronts):
+        for i in range(n_rows):
+            one = PathWindow(times, values[i], k, 1.0)
+            past = values[i, : k + 1]
+            assert np.array_equal(current[i, j], one.current, equal_nan=True)
+            assert np.array_equal(sup[i, j], one.sup(), equal_nan=True)
+            assert np.array_equal(one.sup(), np.max(past, axis=0), equal_nan=True)
+            assert np.array_equal(sup_abs[i, j], one.sup_abs(), equal_nan=True)
+            assert np.array_equal(one.sup_abs(), np.max(np.abs(past)), equal_nan=True)
 
 
 def test_drift_integral_is_the_left_point_sum():

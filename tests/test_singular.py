@@ -155,6 +155,16 @@ def test_lag_swept_iterated_integrals_match_the_dense_matrix(n):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+def test_a_batch_of_no_paths_gives_empty_results():
+    for shape in [(0, 5, 1), (2, 0, 5, 3)]:
+        rows = np.zeros(shape)
+        batch = shape[:-2]
+        assert backward_increment_integrals(rows, ALPHA + 1.0, 0.25).shape == batch + (5,)
+        assert anchored_sweep(rows, ALPHA, 0.25, 1.0, signed=False).shape == batch
+        assert alpha_infty_rows(rows, ALPHA, 0.25).shape == batch
+        assert lambda_alpha_rows(rows, ALPHA, 0.25).shape == batch
+
+
 def test_signed_sweeps_reject_vector_rows():
     _grid, rows = fbm_rows(1, dim=2)
     with pytest.raises(ValueError, match="scalar-only"):

@@ -10,6 +10,7 @@ from sddelab import (
     CoefficientSet,
     DivergenceError,
     FbmConfig,
+    GridError,
     InitialSegment,
     SamplePath,
     SolverConfig,
@@ -147,6 +148,33 @@ def test_hereditary_drift_solves_and_respects_the_running_sup():
     cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
     bundle = solve_euler(coeffs, eta, g, cfg)
     assert np.all(np.isfinite(bundle.path.values))
+
+
+def test_hereditary_rows_step_together_as_their_own_solves():
+    # each row holds its own history from node 0, so one window serves all
+    grid = make_grid(1.0, 128, 0.25)
+    coeffs = coefficient_preset("hereditary-sup")
+    eta = parts(grid, "ramp")
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+    drivers = [driver_on(grid, seed=s) for s in range(3)]
+    X = np.empty((3, grid.n_nodes, 1))
+    X[:, : grid.n_history + 1] = eta.values
+    dg = np.stack([np.diff(g.values, axis=0) for g in drivers])
+    _euler_steps(coeffs, X, np.array([grid.n_history]), grid.times(), dg, grid.h, grid.r)
+    for row, g in zip(X, drivers):
+        assert np.array_equal(row, solve_euler(coeffs, eta, g, cfg).path.values)
+
+
+def test_history_step_must_match_the_grid_step_to_rounding():
+    grid = make_grid(1.0, 2048, 8 / 2048)
+    g = driver_on(grid)
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+    values = parts(grid).values
+    with pytest.raises(GridError, match="initial segment step"):
+        solve_euler(coefficient_preset("sine"), InitialSegment(grid.h * (1 + 1e-9), values), g, cfg)
+    one_ulp = InitialSegment(np.nextafter(grid.h, 1.0), values)
+    assert one_ulp.h != grid.h
+    assert np.isfinite(solve_euler(coefficient_preset("sine"), one_ulp, g, cfg).path.values).all()
 
 
 def test_picard_reaches_the_euler_fixed_point():
