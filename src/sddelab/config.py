@@ -85,7 +85,7 @@ SCHEMAS: dict[str, dict[str, Option]] = {
         **_COMMON,
         **_DRIVER,
         "alpha": Option("float", 0.3, "exponent of the distance norm"),
-        "preset": Option("str", "sine", "coefficient preset name (pointwise drift only)"),
+        "preset": Option("str", "sine", "coefficient preset name"),
         "eta": Option("str", "constant", "initial-segment preset name"),
         "n_seeds": Option("int", 100, "independent driver paths in the study"),
         "k_min": Option("int", 2, "largest delay is T * 2^-k_min"),
@@ -244,8 +244,3 @@ def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
             f"n_main = {cfg['n_main']} must be divisible by 2^k_max = {1 << cfg['k_max']} "
             "so every delay is a whole number of steps",
         )
-        if COEFFICIENT_PRESETS[cfg["preset"]]().drift_kind != "pointwise":
-            raise ConfigError(
-                f"preset {cfg['preset']!r} has a path-functional drift; "
-                "the delay study only covers pointwise drifts"
-            )

@@ -3,10 +3,11 @@
 For a fixed driver path the solution X^r of the delay equation converges
 to the no-delay solution X as r -> 0, in the alpha-norm on [0, T] and
 almost surely / in L^p over the driver law.  This module runs that
-experiment: one driver per seed shared across every delay (so distances
-reflect the delay only), alpha-norm and sup distances per (seed, r),
-log-log rate fits, Monte Carlo L^p means, and Fernique-style moments of
-the roughness functional Lambda_alpha(W).
+experiment for every drift, hereditary ones included: one driver per
+seed shared across every delay (so distances reflect the delay only),
+alpha-norm and sup distances per (seed, r), log-log rate fits, Monte
+Carlo L^p means, and Fernique-style moments of the roughness functional
+Lambda_alpha(W).
 """
 from __future__ import annotations
 
@@ -84,9 +85,10 @@ def _delay_distances(
 
     The drivers share one main grid.  X and every X^r of every driver are
     stepped together as the rows of one (driver, delay) batch, with each
-    history right-aligned at the longest delay; the distances of the whole
-    batch come from one kernel call and the Lambda_alpha values from one
-    sweep.
+    history right-aligned at the longest delay and padded on the left with
+    its first value, which no drift window functional can see; the
+    distances of the whole batch come from one kernel call and the
+    Lambda_alpha values from one sweep.
     """
     grid0 = drivers[0].grid
     T, n_main, h = grid0.t_end, grid0.n_main, grid0.h
@@ -99,9 +101,9 @@ def _delay_distances(
         eta = InitialSegment.from_function(eta_fn, grid.r, h)
         cfg = SolverConfig(alpha=alpha, grid=grid, compute_report=False)
         _check_inputs(coeffs, eta, drivers[0], cfg)
-        X[:, row, i0 - grid.n_history : i0 + 1] = eta.values
+        X[:, row, : i0 + 1] = np.pad(eta.values, ((i0 - grid.n_history, 0), (0, 0)), "edge")
     dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
-    _euler_steps(coeffs, X, lags, longest.times(), dg, h, longest.r)
+    _euler_steps(coeffs, X, lags, longest.times(), dg, h)
     diff = X[:, :1, i0:] - X[:, 1:, i0:]
     del X  # the distance sweep below sets the study's memory peak
     da = alpha_infty_rows(diff, alpha, h)
@@ -120,11 +122,6 @@ def _study_report(
     seeds: Sequence[int],
 ) -> ConvergenceReport:
     """Solve each chunk of drivers as one batch and summarize every row."""
-    if coeffs.drift_kind != "pointwise":
-        raise ValueError(
-            "the delay-to-zero study requires the pointwise drift form; "
-            "hereditary drifts are out of scope"
-        )
     delays = tuple(float(r) for r in delays)
     parts = [_delay_distances(coeffs, eta_fn, drivers, alpha, delays) for drivers in chunks]
     da, ds, lams = (np.concatenate(part) for part in zip(*parts))

@@ -12,6 +12,7 @@ by the constant 0 over the history segment [-r, 0].
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -83,36 +84,27 @@ def keyed_generator(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-_chol_cache: dict[tuple[float, int], np.ndarray] = {}
-_eig_cache: dict[tuple[float, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _cholesky_factor(hurst: float, n: int) -> np.ndarray:
     """Dense factor of the increment covariance, cached per (hurst, n).
 
     Index, covariance and factor take 24 n^2 bytes; more than physical
     memory (where os.sysconf tells it) raises MemoryError up front.
     """
-    key = (hurst, n)
-    L = _chol_cache.get(key)
-    if L is None:
-        try:
-            have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        except (AttributeError, ValueError, OSError):
-            have = float("inf")
-        if 24 * n * n > have:
-            raise MemoryError(f"exact-cholesky at n = {n} needs {24 * n * n} bytes, "
-                              f"more than the {have} bytes of physical memory")
-        rho = fgn_autocovariance(hurst, n - 1)
-        idx = np.arange(n)
-        C = rho[np.abs(idx[:, None] - idx[None, :])]
-        L = np.linalg.cholesky(C)
-        if len(_chol_cache) > 8:
-            _chol_cache.clear()
-        _chol_cache[key] = L
-    return L
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        have = float("inf")
+    if 24 * n * n > have:
+        raise MemoryError(f"exact-cholesky at n = {n} needs {24 * n * n} bytes, "
+                          f"more than the {have} bytes of physical memory")
+    rho = fgn_autocovariance(hurst, n - 1)
+    idx = np.arange(n)
+    C = rho[np.abs(idx[:, None] - idx[None, :])]
+    return np.linalg.cholesky(C)
 
 
+@functools.lru_cache(maxsize=8)
 def _circulant_eigenvalues(hurst: float, n: int) -> np.ndarray:
     """Eigenvalues of the length-2n circulant embedding of the increments.
 
@@ -120,16 +112,9 @@ def _circulant_eigenvalues(hurst: float, n: int) -> np.ndarray:
     (Dietrich & Newsam 1997; Craigmile 2003); the clamp only removes
     roundoff below zero.
     """
-    key = (hurst, n)
-    eig = _eig_cache.get(key)
-    if eig is None:
-        rho = fgn_autocovariance(hurst, n)
-        row = np.concatenate((rho[:n], [rho[n]], rho[1:n][::-1]))
-        eig = np.maximum(np.fft.fft(row).real, 0.0)
-        if len(_eig_cache) > 8:
-            _eig_cache.clear()
-        _eig_cache[key] = eig
-    return eig
+    rho = fgn_autocovariance(hurst, n)
+    row = np.concatenate((rho[:n], [rho[n]], rho[1:n][::-1]))
+    return np.maximum(np.fft.fft(row).real, 0.0)
 
 
 def _sample_paths(hurst: float, n: int, method: str, h: float,

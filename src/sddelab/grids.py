@@ -37,6 +37,10 @@ __all__ = [
 #: to the nearest whole number of grid steps.
 ALIGNMENT_TOL = 1e-9
 
+#: relative tolerance, against max(1, |value|), within which two grid
+#: steps, endpoints or node times agree to rounding.
+ROUNDING_TOL = 4 * np.finfo(float).eps
+
 
 class GridError(ValueError):
     """Invalid grid construction or use."""
@@ -128,7 +132,7 @@ def aligned_steps(r: float, h: float) -> int:
 
 def same_step(a: float, b: float) -> bool:
     """Whether two grid steps or endpoints agree to rounding, relative to max(1, |a|)."""
-    return abs(a - b) <= 4 * np.finfo(float).eps * max(1.0, abs(a))
+    return abs(a - b) <= ROUNDING_TOL * max(1.0, abs(a))
 
 
 def require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
@@ -391,8 +395,6 @@ def read_path_csv(file) -> SamplePath:
         raise GridError("path CSV must contain t = 0 as a grid node")
     grid = TimeGrid(times[0], times[-1], k0, n - k0, h)
     recomputed = grid.times()
-    if np.max(np.abs(recomputed - times)) > 4 * np.finfo(float).eps * np.maximum(
-        1.0, np.max(np.abs(times))
-    ):
+    if np.max(np.abs(recomputed - times)) > ROUNDING_TOL * max(1.0, np.max(np.abs(times))):
         raise GridError("path CSV times drift from uniform node arithmetic")
     return SamplePath(grid, values)

@@ -118,22 +118,26 @@ def young_integral(
 
 
 class PathWindow:
-    """Read-only view of paths on [-r, t], the argument of hereditary drifts.
+    """Read-only view of paths on [-r, t], the one argument of every drift.
 
     values is (..., n_nodes, d); upto is one front node or an increasing
     array of them, which adds a front axis before d.  Every functional is
-    returned per front.  The window starts at node 0 of every row.
+    returned per front.  The window starts at node 0 of every row, so a
+    row whose history is shorter than the window is padded with copies
+    of its first value: a window functional must be unchanged when the
+    first value is repeated (every one here is a running max, or reads
+    only the front).
     """
 
-    __slots__ = ("_values", "_upto", "t", "r")
+    __slots__ = ("_values", "_upto", "t")
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, upto: int | np.ndarray, r: float):
-        v_view = values[..., : np.max(upto) + 1, :].view()
+    def __init__(self, times: np.ndarray, values: np.ndarray, upto: int | np.ndarray):
+        last = upto if np.ndim(upto) == 0 else upto[-1]
+        v_view = values[..., : last + 1, :].view()
         v_view.setflags(write=False)
         self._values = v_view
         self._upto = upto
         self.t = times[..., upto]
-        self.r = r
 
     @property
     def current(self) -> np.ndarray:
@@ -141,11 +145,16 @@ class PathWindow:
 
     def sup(self) -> np.ndarray:
         """Componentwise maximum over the window, per front."""
+        if np.ndim(self._upto) == 0:
+            return self._values.max(axis=-2)
         return np.maximum.accumulate(self._values, axis=-2)[..., self._upto, :]
 
     def sup_abs(self) -> np.ndarray:
         """Largest absolute entry over the window, per front."""
-        return np.maximum.accumulate(np.abs(self._values).max(-1), -1)[..., self._upto]
+        peaks = np.abs(self._values).max(-1)
+        if np.ndim(self._upto) == 0:
+            return peaks.max(-1)
+        return np.maximum.accumulate(peaks, -1)[..., self._upto]
 
 
 def drift_integral(
@@ -164,7 +173,7 @@ def drift_integral(
     g = x.grid
     times = g.times()
     fronts = np.arange(g.index_of_zero, g.index_of_zero + g.n_main)
-    window = PathWindow(times, x.values, fronts, g.r)
+    window = PathWindow(times, x.values, fronts)
     evals = np.asarray(b(times[fronts, None], window), dtype=float)
     if evals.shape != (g.n_main, x.dim):
         raise GridMismatchError(f"drift returned {evals.shape}, expected ({g.n_main}, {x.dim})")

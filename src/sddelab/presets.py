@@ -1,8 +1,9 @@
 """Named coefficient sets and initial segments used by the CLI and studies.
 
-All presets are scalar (d = m = 1).  Their coefficients act elementwise
-on a batch of states (see CoefficientSet).  Each CoefficientSet carries
-the constants under which its hypotheses hold:
+All presets are scalar (d = m = 1).  Sigma acts elementwise on a batch
+of states, and every drift reads a PathWindow over the batch; the
+pointwise drifts read only its front value (see CoefficientSet).  Each
+CoefficientSet carries the constants under which its hypotheses hold:
 
 * ``additive``       sigma = 1,      b = 0
 * ``linear``         sigma = x,      b = -x
@@ -43,12 +44,12 @@ def _sigma_sine_dx(t: float, x: np.ndarray) -> np.ndarray:
     return np.cos(x)[..., None]
 
 
-def _drift_zero(t: float, x: np.ndarray) -> np.ndarray:
-    return np.zeros(np.shape(x))
+def _drift_zero(t: float, window: PathWindow) -> np.ndarray:
+    return np.zeros(np.shape(window.current))
 
 
-def _drift_minus_x(t: float, x: np.ndarray) -> np.ndarray:
-    return -x
+def _drift_minus_x(t: float, window: PathWindow) -> np.ndarray:
+    return -window.current
 
 
 def _drift_sup(t: float, window: PathWindow) -> np.ndarray:
@@ -59,7 +60,6 @@ def _make_additive() -> CoefficientSet:
     return CoefficientSet(
         sigma=_sigma_additive,
         drift=_drift_zero,
-        drift_kind="pointwise",
         sigma_dx=_sigma_additive_dx,
         m0=0.0, mn=0.0, beta=1.0, delta=1.0,
         l0=0.0, ln=0.0, b0=None, k0=1.0, gamma=0.0, rho=2.0,
@@ -71,7 +71,6 @@ def _make_linear() -> CoefficientSet:
     return CoefficientSet(
         sigma=_sigma_linear,
         drift=_drift_minus_x,
-        drift_kind="pointwise",
         sigma_dx=_sigma_linear_dx,
         m0=1.0, mn=0.0, beta=1.0, delta=1.0,
         l0=1.0, ln=1.0, b0=None, k0=1.0, gamma=1.0, rho=2.0,
@@ -83,7 +82,6 @@ def _make_sine() -> CoefficientSet:
     return CoefficientSet(
         sigma=_sigma_sine,
         drift=_drift_minus_x,
-        drift_kind="pointwise",
         sigma_dx=_sigma_sine_dx,
         m0=1.0, mn=1.0, beta=1.0, delta=1.0,
         l0=1.0, ln=1.0, b0=None, k0=0.5, gamma=0.0, rho=2.0,
@@ -95,7 +93,6 @@ def _make_hereditary_sup() -> CoefficientSet:
     return CoefficientSet(
         sigma=_sigma_sine,
         drift=_drift_sup,
-        drift_kind="hereditary",
         sigma_dx=_sigma_sine_dx,
         m0=1.0, mn=1.0, beta=1.0, delta=1.0,
         l0=1.0, ln=1.0, b0=None, k0=0.5, gamma=0.0, rho=2.0,

@@ -73,13 +73,14 @@ class DivergenceError(RuntimeError):
 class CoefficientSet:
     """Diffusion sigma, drift b, and the constants they are declared to obey.
 
-    sigma(t, x) maps states of shape (..., d) to (..., d, m) and a pointwise
-    drift b(t, x) maps them to (..., d), elementwise over the leading batch
-    axes; t is a float or node times of shape (..., 1).  A hereditary drift
-    b(t, window) reads the paths on [-r, t] through a PathWindow, which
-    returns every functional per front and per row; it is called once per
-    Picard iteration (all main fronts), once per drift_integral call and
-    once per Euler step (one front, every row).  The constants:
+    sigma(t, x) maps states of shape (..., d) to (..., d, m), elementwise
+    over the leading batch axes; t is a float or node times of shape
+    (..., 1).  The drift b(t, window) reads the paths on [-r, t] through a
+    PathWindow, which returns every functional per front and per row, as
+    (..., d); a pointwise drift b(t, X(t)) reads only window.current.  The
+    drift is called once per Picard iteration (all main fronts), once per
+    drift_integral call and once per Euler step (one front, every row).
+    The constants:
 
     m0    space-Lipschitz and time-Hoelder constant of sigma
     mn    Hoelder-delta constant of the spatial derivative (per box N)
@@ -94,8 +95,7 @@ class CoefficientSet:
     """
 
     sigma: Callable[[float, np.ndarray], np.ndarray]
-    drift: Callable
-    drift_kind: str = "pointwise"
+    drift: Callable[[float, PathWindow], np.ndarray]
     sigma_dx: Callable[[float, np.ndarray], np.ndarray] | None = None
     m0: float = 0.0
     mn: float = 0.0
@@ -112,8 +112,6 @@ class CoefficientSet:
     name: str = ""
 
     def __post_init__(self):
-        if self.drift_kind not in ("pointwise", "hereditary"):
-            raise ValueError(f"drift_kind must be pointwise or hereditary, got {self.drift_kind!r}")
         if not (0 < self.beta <= 1 and 0 < self.delta <= 1):
             raise ValueError("beta and delta must lie in (0, 1]")
         if not 0 <= self.gamma <= 1:
@@ -295,7 +293,6 @@ def _euler_steps(
     times: np.ndarray,
     dg: np.ndarray,
     h: float,
-    r: float,
 ) -> None:
     """Advance every row of X[..., nodes, d] through the Euler recursion, in place.
 
@@ -303,14 +300,14 @@ def _euler_steps(
     i0 = nodes - 1 - n_main; a row with lag history steps reads its sigma
     argument at node k - lag.  dg[..., j, :], the driver increment of step
     j, broadcasts against the rows.  The one-path operation order is kept,
-    so each row equals its own batch-of-one solve bit for bit.  A hereditary
-    drift reads every row through one PathWindow that starts at node 0, so
-    each row must hold its own history there, not padding.
+    so each row equals its own batch-of-one solve bit for bit.  The drift
+    reads every row through one PathWindow that starts at node 0, so a row
+    with a shorter history must fill the nodes before it with copies of its
+    first history value; no window functional changes under that padding.
     """
     batch, (nodes, d) = X.shape[:-2], X.shape[-2:]
     n = dg.shape[-2]
     i0 = nodes - 1 - n
-    pointwise = coeffs.drift_kind == "pointwise"
     lags = np.broadcast_to(lags, batch)
     # row-major node number of each row's sigma argument, less k
     lag_nodes = np.arange(X.size // (nodes * d)).reshape(batch) * nodes - lags
@@ -321,7 +318,7 @@ def _euler_steps(
         k = i0 + j
         t_k = times[k]
         x = X[..., k, :]
-        bv = drift_fn(t_k, x if pointwise else PathWindow(times, X, k, r))
+        bv = drift_fn(t_k, PathWindow(times, X, k))
         bv = np.asarray(bv, dtype=float).reshape(x.shape)
         lagged = X.reshape(-1, d).take(lag_nodes + k, axis=0)
         sv = np.asarray(sigma_fn(t_k, lagged), dtype=float).reshape(sigma_shape)
@@ -345,7 +342,7 @@ def solve_euler(
     X = _history_array(eta, grid)
     _euler_steps(
         coeffs, X[None], np.array([grid.n_history]), grid.times(),
-        np.diff(g.values, axis=0), grid.h, grid.r,
+        np.diff(g.values, axis=0), grid.h,
     )
     path = SamplePath(grid, X, meta={"scheme": "euler"})
     return _finish(coeffs, eta, g, cfg, path, "euler")
@@ -364,11 +361,8 @@ def _apply_operator(
     n = grid.n_main
     d, m = coeffs.d, coeffs.m
     front = times[i0 : i0 + n]
-    if coeffs.drift_kind == "pointwise":
-        state = y[i0 : i0 + n]
-    else:
-        state = PathWindow(times, y, np.arange(i0, i0 + n), grid.r)
-    bev = np.asarray(coeffs.drift(front[:, None], state), dtype=float).reshape(n, d)
+    window = PathWindow(times, y, np.arange(i0, i0 + n))
+    bev = np.asarray(coeffs.drift(front[:, None], window), dtype=float).reshape(n, d)
     sev = np.asarray(coeffs.sigma(front[:, None], y[i0 - nh : i0 - nh + n]), dtype=float)
     terms = bev * grid.h + np.einsum("kdm,km->kd", sev.reshape(n, d, m), dg)
     out = y.copy()
@@ -487,10 +481,11 @@ def validate_hypotheses(
 ) -> HypothesisReport:
     """Spot-check the declared constants on random (t, s, x, y) samples.
 
-    Samples states uniformly from [-box, box]^d and times from [0, t_max];
-    hereditary drifts are probed with random piecewise-linear windows on
-    [-r, t].  Violations beyond a 1e-6 relative slack mark the clause as
-    failed; the report is informational and the solvers do not consult it.
+    Samples states uniformly from [-box, box]^d and times from [0, t_max].
+    The drift is probed on constant windows at the sampled states and on
+    random piecewise-linear windows on [-r, t].  Violations beyond a 1e-6
+    relative slack mark the clause as failed; the report is informational
+    and the solvers do not consult it.
     """
     from .fbm import keyed_generator
 
@@ -509,7 +504,7 @@ def validate_hypotheses(
 
     def rows(fn, t, x) -> np.ndarray:
         """One flattened coefficient value per sample; norms then run per row."""
-        return np.asarray(fn(t, x), dtype=float).reshape(n, -1)
+        return np.asarray(fn(t, x), dtype=float).reshape(len(t), -1)
 
     def norm(a: np.ndarray) -> np.ndarray:
         return np.linalg.norm(a, axis=1)
@@ -537,23 +532,23 @@ def validate_hypotheses(
     rhs = 1.0 + norm(xs) ** coeffs.gamma
     clauses.append(ClauseReport("sigma-growth", _quotient(lhs, rhs), coeffs.k0, n))
 
-    # drift clauses: the drift at x and at y, their gap and the size of x;
-    # hereditary drifts are probed with random piecewise-linear windows
-    # on [-r, t], one pair (f, h) of n_knots values per sample
-    if coeffs.drift_kind == "pointwise":
-        bx, by = rows(coeffs.drift, tcol, xs), rows(coeffs.drift, tcol, ys)
-        gap, size = norm(xs - ys), norm(xs)
-    else:
-        n_knots = 17
-        knots = np.linspace(-r, ts, n_knots, axis=-1)
-        f, hh = np.moveaxis(rng.uniform(-box, box, size=(n, 2, n_knots, d)), 1, 0)
-        wf = PathWindow(knots, f, n_knots - 1, r)
-        bx = rows(coeffs.drift, tcol, wf)
-        by = rows(coeffs.drift, tcol, PathWindow(knots, hh, n_knots - 1, r))
-        gap, size = np.max(np.linalg.norm(f - hh, axis=-1), axis=-1), wf.sup_abs()
-    clauses.append(ClauseReport("drift-lipschitz", _quotient(norm(bx - by), gap), coeffs.ln, n))
-    cap = coeffs.l0 * size + np.array([coeffs.b0_at(t) for t in ts])
-    clauses.append(ClauseReport("drift-growth", _quotient(norm(bx), cap), 1.0, n))
+    # drift clauses on 2n window pairs (f, h) of n_knots values on [-r, t]:
+    # n constant at the states (x, y), then n random piecewise-linear;
+    # the drift at f and at h, their gap and the size of f, both sup norms
+    # over the window in the Euclidean norm the drift is measured in
+    n_knots = 17
+    knots = np.tile(np.linspace(-r, ts, n_knots, axis=-1), (2, 1))
+    drawn = rng.uniform(-box, box, size=(n, 2, n_knots, d))
+    flat = np.broadcast_to(np.stack((xs, ys), axis=1)[:, :, None], drawn.shape)
+    f, hh = np.moveaxis(np.concatenate((flat, drawn)), 1, 0)
+    t2 = np.concatenate((tcol, tcol))
+    bx = rows(coeffs.drift, t2, PathWindow(knots, f, n_knots - 1))
+    by = rows(coeffs.drift, t2, PathWindow(knots, hh, n_knots - 1))
+    gap = np.max(np.linalg.norm(f - hh, axis=-1), axis=-1)
+    size = np.max(np.linalg.norm(f, axis=-1), axis=-1)
+    clauses.append(ClauseReport("drift-lipschitz", _quotient(norm(bx - by), gap), coeffs.ln, 2 * n))
+    cap = coeffs.l0 * size + np.tile([coeffs.b0_at(t) for t in ts], 2)
+    clauses.append(ClauseReport("drift-growth", _quotient(norm(bx), cap), 1.0, 2 * n))
 
     return HypothesisReport(tuple(clauses))
 

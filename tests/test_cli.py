@@ -102,11 +102,6 @@ def test_off_grid_delay_is_a_config_error(capsys, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-def test_converge_rejects_hereditary_presets():
-    with pytest.raises(ConfigError, match="drift"):
-        resolve_config("converge", None, {"preset": "hereditary-sup"})
-
-
 # --- subcommand runs ------------------------------------------------------
 
 
@@ -232,6 +227,18 @@ def test_converge_outputs_and_gate_exit(tmp_path):
     assert len(summary) == 1 + 4 * 2
     script = (out / "plot_convergence.py").read_text()
     compile(script, "plot_convergence.py", "exec")  # valid python
+
+
+def test_converge_runs_a_hereditary_preset_and_reruns_it(tmp_path):
+    first = tmp_path / "first"
+    assert run([
+        "converge", "--preset", "hereditary-sup", "--outdir", first,
+        "--n-main", 512, "--n-seeds", 30,
+    ]) == 0
+    again = tmp_path / "again"
+    assert run(["rerun", "--manifest", first, "--outdir", again]) == 0
+    for name in ("samples.csv", "summary.csv", "plot_convergence.py"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_converge_gate_failure_exits_3(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from sddelab import (
     rate_fit,
     solve_euler,
 )
+from sddelab import convergence
 from sddelab.convergence import _SEED_CHUNK
 
 ALPHA = 0.3
@@ -139,12 +140,29 @@ def test_pathwise_study_shapes_and_monotone_trend(rough_driver):
     assert np.all(report.dist_sup <= report.dist_alpha + 1e-12)
 
 
-def test_hereditary_presets_are_rejected(rough_driver):
-    with pytest.raises(ValueError):
-        pathwise_convergence_study(
-            coefficient_preset("hereditary-sup"), eta_preset("constant"),
-            rough_driver, ALPHA, DELAYS,
-        )
+def test_hereditary_study_equals_per_path_solves(monkeypatch):
+    # two chunks, so seeds 0, 15 | 16, 29 sit at both ends of each; every
+    # row's padding repeats its first history value, which sup() cannot see
+    monkeypatch.setattr(convergence, "_SEED_CHUNK", 16)
+    n_main, fbm_cfg = 256, FbmConfig(hurst=0.75, seed=4)
+    coeffs, eta_fn = coefficient_preset("hereditary-sup"), eta_preset("ramp")
+    report = lp_convergence_study(
+        coeffs, eta_fn, fbm_cfg, ALPHA, DELAYS, n_seeds=30, n_main=n_main,
+    )
+    grid0 = make_grid(1.0, n_main)
+    for i in (0, 15, 16, 29):
+        g = generate_fbm(grid0, fbm_cfg, index=i)
+        paths = []
+        for r in (0.0,) + DELAYS:
+            grid = make_grid(1.0, n_main, r)
+            eta = InitialSegment.from_function(eta_fn, grid.r, grid.h)
+            cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+            paths.append(solve_euler(coeffs, eta, g, cfg).path.main_values())
+        ref = paths[0]
+        dist_alpha = [norm_alpha_infty(SamplePath(grid0, ref - x), ALPHA) for x in paths[1:]]
+        dist_sup = [np.max(np.abs(ref - x)) for x in paths[1:]]
+        assert np.array_equal(report.dist_alpha[i], dist_alpha)
+        assert np.array_equal(report.dist_sup[i], dist_sup)
 
 
 def test_monte_carlo_study_needs_enough_seeds():

@@ -114,7 +114,7 @@ def test_path_window_views_the_past():
     x = SamplePath.from_function(grid, lambda t: t)
     times = grid.times()
     k = grid.index_of_zero + 4  # t = 0.5
-    w = PathWindow(times, x.values, k, grid.r)
+    w = PathWindow(times, x.values, k)
     assert w.t == pytest.approx(0.5)
     assert np.allclose(w.current, [0.5])
     assert np.allclose(w.sup(), [0.5])
@@ -140,12 +140,12 @@ def test_a_multi_front_window_equals_its_single_front_windows(shape, data):
     values = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
     fronts = np.array(sorted(data.draw(st.sets(st.integers(0, n_nodes - 1), min_size=1))))
     times = -1.0 + 0.25 * np.arange(n_nodes)
-    w = PathWindow(times, values, fronts, 1.0)
+    w = PathWindow(times, values, fronts)
     current, sup, sup_abs = w.current, w.sup(), w.sup_abs()
     assert np.array_equal(w.t, times[fronts])
     for j, k in enumerate(fronts):
         for i in range(n_rows):
-            one = PathWindow(times, values[i], k, 1.0)
+            one = PathWindow(times, values[i], k)
             past = values[i, : k + 1]
             assert np.array_equal(current[i, j], one.current, equal_nan=True)
             assert np.array_equal(sup[i, j], one.sup(), equal_nan=True)

@@ -160,7 +160,7 @@ def test_hereditary_rows_step_together_as_their_own_solves():
     X = np.empty((3, grid.n_nodes, 1))
     X[:, : grid.n_history + 1] = eta.values
     dg = np.stack([np.diff(g.values, axis=0) for g in drivers])
-    _euler_steps(coeffs, X, np.array([grid.n_history]), grid.times(), dg, grid.h, grid.r)
+    _euler_steps(coeffs, X, np.array([grid.n_history]), grid.times(), dg, grid.h)
     for row, g in zip(X, drivers):
         assert np.array_equal(row, solve_euler(coeffs, eta, g, cfg).path.values)
 
@@ -270,7 +270,7 @@ def test_divergent_dynamics_raise_with_location():
     eta = InitialSegment.from_function(lambda t: 1e3, 0.0, grid.h)
     blowup = CoefficientSet(
         sigma=lambda t, x: np.zeros((1, 1)),
-        drift=lambda t, x: x * x,
+        drift=lambda t, w: w.current * w.current,
         m0=0.0, mn=0.0, l0=1.0, ln=1.0, k0=1.0, gamma=0.0,
         name="quadratic-blowup",
     )
@@ -283,7 +283,7 @@ def test_divergent_dynamics_raise_with_location():
 # b = x^2 from a large start overflows within a few dozen steps
 QUADRATIC_BLOWUP = CoefficientSet(
     sigma=lambda t, x: np.zeros(np.shape(x) + (1,)),
-    drift=lambda t, x: x * x,
+    drift=lambda t, w: w.current * w.current,
     m0=0.0, mn=0.0, l0=1.0, ln=1.0, k0=1.0, gamma=0.0,
     name="quadratic-blowup",
 )
@@ -316,7 +316,7 @@ def test_batched_divergence_names_the_exploding_row():
     X[1] = 1e3
     dg = np.zeros((n, 1))
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as batch:
-        _euler_steps(QUADRATIC_BLOWUP, X, np.array([0, lag, 0]), grid.times(), dg, grid.h, grid.r)
+        _euler_steps(QUADRATIC_BLOWUP, X, np.array([0, lag, 0]), grid.times(), dg, grid.h)
     assert math.isfinite(batch.value.time)
     assert (batch.value.node, batch.value.time) == (single.value.node, single.value.time)
 
@@ -404,7 +404,7 @@ def test_preset_constants_survive_the_audit(name):
 def test_audit_catches_an_understated_constant():
     lying = CoefficientSet(
         sigma=lambda t, x: x * x,  # not globally Lipschitz on the box
-        drift=lambda t, x: -x,
+        drift=lambda t, w: -w.current,
         m0=1.0, mn=0.0, l0=1.0, ln=1.0, k0=1.0, gamma=1.0,
         name="understated",
     )
@@ -414,17 +414,33 @@ def test_audit_catches_an_understated_constant():
     assert "sigma-space-lipschitz" in bad
 
 
+@pytest.mark.parametrize("drift", [lambda t, w: -2.0 * w.current, lambda t, w: 2.0 * w.sup()],
+                         ids=["pointwise", "hereditary"])
+def test_audit_catches_an_understated_drift_constant(drift):
+    # both drifts are 2-Lipschitz and grow like 2 sup|x|, against ln = l0 = 1
+    lying = dataclasses.replace(coefficient_preset("sine"), drift=drift, name="understated")
+    for seed in (0, 1, 7):
+        bad = {c.clause for c in validate_hypotheses(lying, seed=seed).violations()}
+        assert {"drift-lipschitz", "drift-growth"} <= bad
+
+
+def test_audit_measures_a_vector_drift_in_one_norm():
+    # b = -x in d = 2 obeys |b| <= sup |x| in the Euclidean norm on both sides
+    contraction = CoefficientSet(
+        sigma=lambda t, x: np.zeros(np.shape(x) + (1,)),
+        drift=lambda t, w: -w.current,
+        l0=1.0, ln=1.0, k0=1.0, d=2, m=1,
+    )
+    for seed in (0, 1, 7):
+        report = validate_hypotheses(contraction, seed=seed)
+        assert report.ok, [(c.clause, c.worst_quotient) for c in report.violations()]
+
+
 def test_coefficient_set_rejects_bad_constants():
     with pytest.raises(ValueError):
         CoefficientSet(
-            sigma=lambda t, x: x, drift=lambda t, x: x,
+            sigma=lambda t, x: x, drift=lambda t, w: w.current,
             m0=-1.0, mn=0.0, l0=0.0, ln=0.0, k0=1.0, gamma=0.0,
-        )
-    with pytest.raises(ValueError):
-        CoefficientSet(
-            sigma=lambda t, x: x, drift=lambda t, x: x,
-            m0=1.0, mn=0.0, l0=0.0, ln=0.0, k0=1.0, gamma=0.0,
-            drift_kind="implicit",
         )
 
 
