@@ -8,10 +8,10 @@ line and verify byte-identical outputs).
 
 Exit codes: 0 success, 1 runtime failure (out of memory included; an
 ``exact-cholesky`` n_main whose 24 n^2-byte factor exceeds physical
-memory is refused before allocating), 2 usage or configuration error,
-3 statistical gates failed.  Every file a run writes lives under its
-configured ``outdir`` and is written atomically, and each run appends
-one line to the directory's ``manifest.jsonl``.
+memory is refused before allocating), 2 usage or configuration error
+(a malformed manifest record included), 3 statistical gates failed.
+Every file a run writes lives under its configured ``outdir``, written
+atomically, and each run appends a line to that ``manifest.jsonl``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import SCHEMAS, ConfigError, resolve_config, validate_config
+from .config import SCHEMAS, ConfigError, check_recorded_config, resolve_config
 from .convergence import (
     evaluate_convergence_gates,
     lp_convergence_study,
@@ -287,7 +287,10 @@ def _execute(subcommand: str, cfg: dict) -> int:
 
 
 def _run_rerun(args: argparse.Namespace) -> int:
-    records = read_manifest(args.manifest)
+    try:
+        records = read_manifest(args.manifest)
+    except (TypeError, ValueError) as exc:  # a line that is not a JSON run record
+        raise ConfigError(f"malformed record in {args.manifest}: {exc}") from None
     if not records:
         raise ConfigError(f"no records in {args.manifest}")
     try:
@@ -297,14 +300,12 @@ def _run_rerun(args: argparse.Namespace) -> int:
             f"manifest has {len(records)} records; index {args.index} is out of range"
         ) from None
     if record.version != __version__:
-        print(
-            f"rerun: recorded version {record.version} differs from {__version__}",
-            file=sys.stderr,
-        )
-    cfg = dict(record.config)
-    cfg["outdir"] = args.outdir
-    validate_config(record.subcommand, cfg)
-    _execute(record.subcommand, cfg)
+        print(f"rerun: recorded version {record.version} differs from {__version__}",
+              file=sys.stderr)
+    check_recorded_config(record.subcommand, record.config)
+    if not isinstance(record.outputs, dict):
+        raise ConfigError(f"recorded outputs must map names to digests, got {record.outputs!r}")
+    _execute(record.subcommand, dict(record.config, outdir=args.outdir))
     mismatches = verify_outputs(Path(args.outdir), record)
     for name in sorted(record.outputs):
         status = "MISMATCH" if name in mismatches else "ok"

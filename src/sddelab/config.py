@@ -171,6 +171,19 @@ def resolve_config(
     return resolved
 
 
+def check_recorded_config(subcommand: str, cfg: Any) -> None:
+    """Reject a recorded run whose subcommand, keys or value types leave its schema."""
+    kinds = {"int": int, "float": (int, float), "str": str, "maybe_float": (int, float, type(None))}
+    _require(subcommand in tuple(SCHEMAS), f"unknown subcommand {subcommand!r}")
+    schema = SCHEMAS[subcommand]
+    odd = sorted(set(cfg) ^ set(schema)) if isinstance(cfg, dict) else sorted(schema)
+    _require(not odd, f"recorded {subcommand} config misses or adds the keys {odd}")
+    for name, opt in schema.items():
+        ok = isinstance(cfg[name], kinds[opt.kind]) and not isinstance(cfg[name], bool)
+        _require(ok, f"recorded key {name!r} expects a {opt.kind}, got {cfg[name]!r}")
+    validate_config(subcommand, cfg)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)

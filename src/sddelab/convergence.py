@@ -17,9 +17,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .fbm import FbmConfig, generate_fbm
-from .grids import InitialSegment, SamplePath, make_grid
-from .norms import alpha_infty_rows, lambda_alpha_rows
-from .solver import CoefficientSet, SolverConfig, _check_inputs, _euler_steps
+from .grids import InitialSegment, SamplePath, main_segment, make_grid
+from .norms import _check_alpha, alpha_infty_rows, lambda_alpha_rows
+from .solver import CoefficientSet, _check_inputs, _euler_steps
 
 __all__ = [
     "ConvergenceReport",
@@ -99,8 +99,7 @@ def _delay_distances(
     X = np.empty((len(drivers), len(grids), longest.n_nodes, coeffs.d))
     for row, grid in enumerate(grids):
         eta = InitialSegment.from_function(eta_fn, grid.r, h)
-        cfg = SolverConfig(alpha=alpha, grid=grid, compute_report=False)
-        _check_inputs(coeffs, eta, drivers[0], cfg)
+        _check_inputs(coeffs, eta, drivers[0], grid)
         X[:, row, : i0 + 1] = np.pad(eta.values, ((i0 - grid.n_history, 0), (0, 0)), "edge")
     dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
     _euler_steps(coeffs, X, lags, longest.times(), dg, h)
@@ -122,6 +121,7 @@ def _study_report(
     seeds: Sequence[int],
 ) -> ConvergenceReport:
     """Solve each chunk of drivers as one batch and summarize every row."""
+    _check_alpha(alpha)  # before any solve, not after the first chunk
     delays = tuple(float(r) for r in delays)
     parts = [_delay_distances(coeffs, eta_fn, drivers, alpha, delays) for drivers in chunks]
     da, ds, lams = (np.concatenate(part) for part in zip(*parts))
@@ -160,11 +160,8 @@ def pathwise_convergence_study(
     The driver must live on the main [0, T] grid; every delay must be a
     whole number of its steps.
     """
-    g_main = g if g.grid.n_history == 0 else SamplePath(g.grid.main_only(), g.main_values())
-    seed = -1
-    if g.meta and "seed" in g.meta:
-        seed = int(g.meta["seed"])
-    return _study_report(coeffs, eta_fn, [[g_main]], alpha, delays, p_list, (seed,))
+    seed = int((g.meta or {}).get("seed", -1))
+    return _study_report(coeffs, eta_fn, [[main_segment(g)]], alpha, delays, p_list, (seed,))
 
 
 def lp_convergence_study(
@@ -324,8 +321,6 @@ class GateReport:
 def evaluate_convergence_gates(
     report: ConvergenceReport,
     fit: RateFit | None = None,
-    exception_fraction: float = 0.05,
-    lp_factor: float = 4.0,
 ) -> GateReport:
     if fit is None:
         fit = rate_fit(report)
@@ -337,10 +332,10 @@ def evaluate_convergence_gates(
         if p in (1.0, 2.0):
             last = report.lp_means[i, -1]
             ratios[p] = float(report.lp_means[i, 0] / last) if last > 0 else float("inf")
-    lp_ok = all(v >= lp_factor for v in ratios.values()) if ratios else False
+    lp_ok = all(v >= 4.0 for v in ratios.values()) if ratios else False
     return GateReport(
         endpoint_fraction=frac,
-        endpoint_ok=frac >= 1.0 - exception_fraction,
+        endpoint_ok=frac >= 1.0 - 0.05,
         median_slope=fit.median_alpha,
         slope_floor=floor,
         slope_ok=fit.median_alpha >= floor,

@@ -24,7 +24,7 @@ from ._singular import (
     iterated_increment_integrals,
     quadrature_slack,
 )
-from .grids import GridMismatchError, SamplePath, TimeGrid, main_segment, require_same_grid
+from .grids import GridMismatchError, SamplePath, main_segment, require_same_grid
 from .norms import lambda_alpha, norm_alpha_1
 
 __all__ = [
@@ -85,14 +85,12 @@ def young_integral(
     """
     fm, gm = main_segment(f), main_segment(g)
     require_same_grid(fm.grid, gm.grid)
-    if fm.dim == 1 and gm.dim == 1:
+    if gm.dim == 1:
         fmat = fm.values[:, :, None]
     elif fm.dim == 1:
         fmat = np.zeros((fm.values.shape[0], gm.dim, gm.dim))
         idx = np.arange(gm.dim)
         fmat[:, idx, idx] = fm.values
-    elif gm.dim == 1:
-        fmat = fm.values[:, :, None]
     else:
         raise GridMismatchError(
             f"cannot pair integrand dim {fm.dim} with driver dim {gm.dim}; "
@@ -121,46 +119,43 @@ class PathWindow:
     """Read-only view of paths on [-r, t], the one argument of every drift.
 
     values is (..., n_nodes, d); upto is one front node or an increasing
-    array of them, which adds a front axis before d.  Every functional is
-    returned per front.  The window starts at node 0 of every row, so a
-    row whose history is shorter than the window is padded with copies
-    of its first value: a window functional must be unchanged when the
-    first value is repeated (every one here is a running max, or reads
-    only the front).
+    array of them, which adds a front axis before d.  A drift reads the
+    front value `current` and the componentwise running max `sup()`, both
+    read-only and per front; sup() is reduced once, when the window is
+    built, and Euler moves a one-front window on with one elementwise max
+    per step.  The window starts at node 0 of every row, so a row with a
+    shorter history is padded with copies of its first value, which
+    neither functional can see.
     """
 
-    __slots__ = ("_values", "_upto", "t")
+    __slots__ = ("_values", "_upto", "_sup", "_sup_view")
 
-    def __init__(self, times: np.ndarray, values: np.ndarray, upto: int | np.ndarray):
-        last = upto if np.ndim(upto) == 0 else upto[-1]
-        v_view = values[..., : last + 1, :].view()
-        v_view.setflags(write=False)
-        self._values = v_view
+    def __init__(self, values: np.ndarray, upto: int | np.ndarray):
+        self._values = values.view()
+        self._values.setflags(write=False)
         self._upto = upto
-        self.t = times[..., upto]
+        past = values[..., : np.max(upto) + 1, :]
+        self._sup = np.maximum.accumulate(past, axis=-2)[..., upto, :]
+        self._sup_view = self._sup.view()
+        self._sup_view.setflags(write=False)
 
     @property
     def current(self) -> np.ndarray:
         return self._values[..., self._upto, :]
 
     def sup(self) -> np.ndarray:
-        """Componentwise maximum over the window, per front."""
-        if np.ndim(self._upto) == 0:
-            return self._values.max(axis=-2)
-        return np.maximum.accumulate(self._values, axis=-2)[..., self._upto, :]
+        """Componentwise maximum over the window, per front (updated in place)."""
+        return self._sup_view
 
-    def sup_abs(self) -> np.ndarray:
-        """Largest absolute entry over the window, per front."""
-        peaks = np.abs(self._values).max(-1)
-        if np.ndim(self._upto) == 0:
-            return peaks.max(-1)
-        return np.maximum.accumulate(peaks, -1)[..., self._upto]
+    def _advance(self) -> None:
+        """Move a one-front window on by one node."""
+        self._upto += 1
+        np.maximum(self._sup, self.current, out=self._sup)
 
 
 def drift_integral(
     b: Callable[[np.ndarray, PathWindow], np.ndarray],
     x: SamplePath,
-    grid: TimeGrid | None = None,
 ) -> SamplePath:
     """F(t) = int_0^t b(s, x restricted to [-r, s]) ds by left-point sums.
 
@@ -168,12 +163,10 @@ def drift_integral(
     over every main front, and returns (n_main, d).  Returns the
     cumulative drift on the main [0, T] grid, starting at 0.
     """
-    if grid is not None and grid != x.grid:
-        raise GridMismatchError("drift_integral grid does not match the path")
     g = x.grid
     times = g.times()
     fronts = np.arange(g.index_of_zero, g.index_of_zero + g.n_main)
-    window = PathWindow(times, x.values, fronts)
+    window = PathWindow(x.values, fronts)
     evals = np.asarray(b(times[fronts, None], window), dtype=float)
     if evals.shape != (g.n_main, x.dim):
         raise GridMismatchError(f"drift returned {evals.shape}, expected ({g.n_main}, {x.dim})")
@@ -261,7 +254,7 @@ class SigmaIncrementReport:
 
 
 def check_sigma_increment_bound(
-    sigma: Callable[[float, float], float],
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f: SamplePath,
     h_path: SamplePath,
     alpha: float,
@@ -272,7 +265,9 @@ def check_sigma_increment_bound(
 ) -> SigmaIncrementReport:
     """Nodewise check of the composed-increment inequality.
 
-    For scalar paths f, h and every node t:
+    sigma has the CoefficientSet form (t, x[..., 1]) -> (..., 1, 1) and is
+    called once per path, over the column of node times.  For scalar
+    paths f, h and every node t:
       int_0^t |sig(t,f(t)) - sig(s,f(s)) - sig(t,h(t)) + sig(s,h(s))| (t-s)^(-a-1) ds
     against
       m0 * (same integral of f - h)
@@ -290,8 +285,8 @@ def check_sigma_increment_bound(
     step = fm.grid.h
     times = fm.times()
     fv, hv = fm.values[:, 0], hm.values[:, 0]
-    w = np.array([float(sigma(t, x)) - float(sigma(t, y))
-                  for t, x, y in zip(times, fv, hv)])
+    sig_f, sig_h = (np.asarray(sigma(times[:, None], p.values), dtype=float) for p in (fm, hm))
+    w = (sig_f - sig_h).reshape(fv.shape)
     lhs = backward_increment_integrals(w, alpha + 1.0, step)
     term1 = m0 * backward_increment_integrals(fv - hv, alpha + 1.0, step)
     gap = np.abs(fv - hv)

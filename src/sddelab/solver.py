@@ -76,10 +76,10 @@ class CoefficientSet:
     sigma(t, x) maps states of shape (..., d) to (..., d, m), elementwise
     over the leading batch axes; t is a float or node times of shape
     (..., 1).  The drift b(t, window) reads the paths on [-r, t] through a
-    PathWindow, which returns every functional per front and per row, as
-    (..., d); a pointwise drift b(t, X(t)) reads only window.current.  The
-    drift is called once per Picard iteration (all main fronts), once per
-    drift_integral call and once per Euler step (one front, every row).
+    PathWindow: window.current and the running max window.sup(), (..., d)
+    per front and row; a pointwise drift b(t, X(t)) reads only current.
+    It is called once per Picard iteration (all main fronts), once per
+    drift_integral call and once per Euler step (one advancing window).
     The constants:
 
     m0    space-Lipschitz and time-Hoelder constant of sigma
@@ -227,9 +227,8 @@ def stopping_lambda(lam_formula: float, picard_tol: float, horizon: float) -> fl
 
 
 def _check_inputs(
-    coeffs: CoefficientSet, eta: InitialSegment, g: SamplePath, cfg: SolverConfig
+    coeffs: CoefficientSet, eta: InitialSegment, g: SamplePath, grid: TimeGrid
 ) -> None:
-    grid = cfg.grid
     if eta.n_steps != grid.n_history:
         raise GridError(
             f"initial segment has {eta.n_steps} steps but the grid history has {grid.n_history}"
@@ -301,8 +300,8 @@ def _euler_steps(
     argument at node k - lag.  dg[..., j, :], the driver increment of step
     j, broadcasts against the rows.  The one-path operation order is kept,
     so each row equals its own batch-of-one solve bit for bit.  The drift
-    reads every row through one PathWindow that starts at node 0, so a row
-    with a shorter history must fill the nodes before it with copies of its
+    reads every row through one PathWindow from node 0, moved on per step,
+    so a row with a shorter history must pad the nodes before it with its
     first history value; no window functional changes under that padding.
     """
     batch, (nodes, d) = X.shape[:-2], X.shape[-2:]
@@ -314,12 +313,12 @@ def _euler_steps(
     steps = np.moveaxis(dg, -2, 0)[..., None]
     sigma_shape = batch + (d, coeffs.m)
     drift_fn, sigma_fn = coeffs.drift, coeffs.sigma
+    window = PathWindow(X, i0)
     for j in range(n):
         k = i0 + j
         t_k = times[k]
         x = X[..., k, :]
-        bv = drift_fn(t_k, PathWindow(times, X, k))
-        bv = np.asarray(bv, dtype=float).reshape(x.shape)
+        bv = np.asarray(drift_fn(t_k, window), dtype=float).reshape(x.shape)
         lagged = X.reshape(-1, d).take(lag_nodes + k, axis=0)
         sv = np.asarray(sigma_fn(t_k, lagged), dtype=float).reshape(sigma_shape)
         new = x + bv * h + (sv @ steps[j])[..., 0]
@@ -327,6 +326,7 @@ def _euler_steps(
         if not np.isfinite(new).all():
             row = tuple(np.argwhere(~np.isfinite(new).all(axis=-1))[0])
             raise DivergenceError(k + 1 - i0 + int(lags[row]), float(times[k + 1]))
+        window._advance()
 
 
 def solve_euler(
@@ -337,8 +337,8 @@ def solve_euler(
     X(t_{k+1}) = X(t_k) + b(t_k, X|_[-r, t_k]) h + sigma(t_k, X(t_k - r)) dg_k.
     The history on [-r, 0] is copied from eta bit-exactly.
     """
-    _check_inputs(coeffs, eta, g, cfg)
     grid = cfg.grid
+    _check_inputs(coeffs, eta, g, grid)
     X = _history_array(eta, grid)
     _euler_steps(
         coeffs, X[None], np.array([grid.n_history]), grid.times(),
@@ -361,7 +361,7 @@ def _apply_operator(
     n = grid.n_main
     d, m = coeffs.d, coeffs.m
     front = times[i0 : i0 + n]
-    window = PathWindow(times, y, np.arange(i0, i0 + n))
+    window = PathWindow(y, np.arange(i0, i0 + n))
     bev = np.asarray(coeffs.drift(front[:, None], window), dtype=float).reshape(n, d)
     sev = np.asarray(coeffs.sigma(front[:, None], y[i0 - nh : i0 - nh + n]), dtype=float)
     terms = bev * grid.h + np.einsum("kdm,km->kd", sev.reshape(n, d, m), dg)
@@ -380,8 +380,8 @@ def solve_picard(
     lambda-weighted alpha-norm.  Non-convergence within max_iter is
     flagged on the bundle, not raised.
     """
-    _check_inputs(coeffs, eta, g, cfg)
     grid = cfg.grid
+    _check_inputs(coeffs, eta, g, grid)
     times = grid.times()
     dg = np.diff(g.values, axis=0)
     lam = cfg.lam
@@ -397,7 +397,6 @@ def solve_picard(
         y[grid.index_of_zero :] = eta.value_at_zero()
     residuals: list[float] = []
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
         y_next = _apply_operator(coeffs, y, grid, times, dg)
         finite = np.isfinite(y_next).all(axis=1)
@@ -442,9 +441,7 @@ class ClauseReport:
 
     @property
     def ok(self) -> bool:
-        if self.skipped:
-            return True
-        return self.worst_quotient <= self.bound * (1 + HYP_REL_SLACK) + 1e-12
+        return self.skipped or self.worst_quotient <= self.bound * (1 + HYP_REL_SLACK) + 1e-12
 
 
 @dataclass(frozen=True)
@@ -476,14 +473,13 @@ def validate_hypotheses(
     sample_budget: int = 200,
     box: float = 5.0,
     t_max: float = 1.0,
-    r: float = 0.5,
     seed: int = 0,
 ) -> HypothesisReport:
     """Spot-check the declared constants on random (t, s, x, y) samples.
 
     Samples states uniformly from [-box, box]^d and times from [0, t_max].
-    The drift is probed on constant windows at the sampled states and on
-    random piecewise-linear windows on [-r, t].  Violations beyond a 1e-6
+    The drift is probed on 17-node windows, constant at the sampled states
+    or of independent draws from the box.  Violations beyond a 1e-6
     relative slack mark the clause as failed; the report is informational
     and the solvers do not consult it.
     """
@@ -532,18 +528,17 @@ def validate_hypotheses(
     rhs = 1.0 + norm(xs) ** coeffs.gamma
     clauses.append(ClauseReport("sigma-growth", _quotient(lhs, rhs), coeffs.k0, n))
 
-    # drift clauses on 2n window pairs (f, h) of n_knots values on [-r, t]:
-    # n constant at the states (x, y), then n random piecewise-linear;
+    # drift clauses on 2n window pairs (f, h) of n_knots values up to t:
+    # n constant at the states (x, y), then n of uniform draws from the box;
     # the drift at f and at h, their gap and the size of f, both sup norms
     # over the window in the Euclidean norm the drift is measured in
     n_knots = 17
-    knots = np.tile(np.linspace(-r, ts, n_knots, axis=-1), (2, 1))
     drawn = rng.uniform(-box, box, size=(n, 2, n_knots, d))
     flat = np.broadcast_to(np.stack((xs, ys), axis=1)[:, :, None], drawn.shape)
     f, hh = np.moveaxis(np.concatenate((flat, drawn)), 1, 0)
     t2 = np.concatenate((tcol, tcol))
-    bx = rows(coeffs.drift, t2, PathWindow(knots, f, n_knots - 1))
-    by = rows(coeffs.drift, t2, PathWindow(knots, hh, n_knots - 1))
+    bx = rows(coeffs.drift, t2, PathWindow(f, n_knots - 1))
+    by = rows(coeffs.drift, t2, PathWindow(hh, n_knots - 1))
     gap = np.max(np.linalg.norm(f - hh, axis=-1), axis=-1)
     size = np.max(np.linalg.norm(f, axis=-1), axis=-1)
     clauses.append(ClauseReport("drift-lipschitz", _quotient(norm(bx - by), gap), coeffs.ln, 2 * n))
@@ -651,9 +646,7 @@ def a_priori_bound_report(records: Sequence[APrioriRecord]) -> FittedBound:
     z = np.array([rec.z for rec in recs])
     y = np.log([rec.measured / rec.base for rec in recs])
     var = float(np.var(z))
-    rate = 0.0
-    if var > 0:
-        rate = max(0.0, float(np.cov(z, y, bias=True)[0, 1] / var))
+    rate = max(0.0, float(np.cov(z, y, bias=True)[0, 1] / var)) if var > 0 else 0.0
     log_a = float(np.max(y - rate * z))
     slack = float(np.max(y - (log_a + rate * z)))
     return FittedBound(len(recs), math.exp(log_a), rate, slack)

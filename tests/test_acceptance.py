@@ -138,13 +138,12 @@ def test_criterion_5_solution_paths_satisfy_the_stated_bounds():
     total_nr = total_sigma = 0
     for name in ("additive", "linear", "sine", "hereditary-sup"):
         coeffs = coefficient_preset(name)
-        sigma_scalar = lambda t, v: coeffs.sigma(t, np.atleast_1d(v))[0, 0]
         for seed in range(100):
             g = generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, seed=seed))
             sol = solve_euler(coeffs, eta, g, cfg).path
             total_nr += check_nr_bounds(sol, g, ALPHA).n_violations_sup
             total_sigma += check_sigma_increment_bound(
-                sigma_scalar, sol, shift_by_delay(sol, grid.r), ALPHA,
+                coeffs.sigma, sol, shift_by_delay(sol, grid.r), ALPHA,
                 beta=coeffs.beta, delta=coeffs.delta, m0=coeffs.m0, mn=coeffs.mn,
             ).n_violations
     assert total_nr == 0, f"{total_nr} integral-bound violations"

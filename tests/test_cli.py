@@ -299,6 +299,31 @@ def test_rerun_bad_index_is_a_usage_error(tmp_path):
                 "--outdir", tmp_path / "x"]) == 2
 
 
+def _drop(mapping, key):
+    del mapping[key]
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda line: line.update(subcommand="bogus"), id="unknown-subcommand"),
+    pytest.param(lambda line: _drop(line["config"], "seed"), id="config-without-seed"),
+    pytest.param(lambda line: _drop(line, "created"), id="record-without-created"),
+    pytest.param(lambda line: line["config"].update(n_main="64"), id="string-n-main"),
+    pytest.param(lambda line: line.update(outputs=["path.csv"]), id="outputs-as-a-list"),
+])
+def test_rerun_of_a_malformed_record_is_a_usage_error(tmp_path, capsys, spoil):
+    first = tmp_path / "first"
+    assert run(["fbm", "--outdir", first, "--n-main", 64]) == 0
+    manifest = first / "manifest.jsonl"
+    line = json.loads(manifest.read_text())
+    spoil(line)
+    manifest.write_text(json.dumps(line) + "\n")
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", first, "--outdir", tmp_path / "again"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "again").exists()
+
+
 def test_rerun_flags_a_version_mismatch_but_exits_on_digests(tmp_path, capsys):
     first = tmp_path / "first"
     assert run(["fbm", "--outdir", first, "--n-main", 64]) == 0

@@ -112,13 +112,10 @@ def test_incompatible_grids_are_rejected(rough_driver):
 def test_path_window_views_the_past():
     grid = make_grid(1.0, 8, 0.25)
     x = SamplePath.from_function(grid, lambda t: t)
-    times = grid.times()
     k = grid.index_of_zero + 4  # t = 0.5
-    w = PathWindow(times, x.values, k)
-    assert w.t == pytest.approx(0.5)
+    w = PathWindow(x.values, k)
     assert np.allclose(w.current, [0.5])
     assert np.allclose(w.sup(), [0.5])
-    assert w.sup_abs() == pytest.approx(0.5)
     # a drift cannot write into the path it is shown
     with pytest.raises(ValueError):
         w.current[0] = 1.0
@@ -139,19 +136,37 @@ def test_a_multi_front_window_equals_its_single_front_windows(shape, data):
     size = n_rows * n_nodes * d
     values = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
     fronts = np.array(sorted(data.draw(st.sets(st.integers(0, n_nodes - 1), min_size=1))))
-    times = -1.0 + 0.25 * np.arange(n_nodes)
-    w = PathWindow(times, values, fronts)
-    current, sup, sup_abs = w.current, w.sup(), w.sup_abs()
-    assert np.array_equal(w.t, times[fronts])
+    w = PathWindow(values, fronts)
+    current, sup = w.current, w.sup()
     for j, k in enumerate(fronts):
         for i in range(n_rows):
-            one = PathWindow(times, values[i], k)
+            one = PathWindow(values[i], k)
             past = values[i, : k + 1]
             assert np.array_equal(current[i, j], one.current, equal_nan=True)
             assert np.array_equal(sup[i, j], one.sup(), equal_nan=True)
             assert np.array_equal(one.sup(), np.max(past, axis=0), equal_nan=True)
-            assert np.array_equal(sup_abs[i, j], one.sup_abs(), equal_nan=True)
-            assert np.array_equal(one.sup_abs(), np.max(np.abs(past)), equal_nan=True)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 12), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_an_advanced_window_equals_a_fresh_window_at_every_node(shape, data):
+    n_rows, n_nodes, d = shape
+    size = n_rows * n_nodes * d
+    values = np.array(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+    w = PathWindow(values, 0)
+    for k in range(n_nodes):
+        if k:
+            w._advance()
+        fresh = PathWindow(values, k)
+        assert np.array_equal(w.current, fresh.current, equal_nan=True)
+        assert np.array_equal(w.sup(), fresh.sup(), equal_nan=True)
+        with pytest.raises(ValueError):
+            w.current[0] = 1.0
+        with pytest.raises(ValueError):
+            w.sup()[0] = 1.0
 
 
 def test_drift_integral_is_the_left_point_sum():
@@ -200,7 +215,7 @@ def test_sigma_increment_bound_linear_case_is_tight(rough_driver):
         SamplePath.from_function(make_grid(1.0, 512, 0.25), lambda t: np.cos(t)), 0.25
     )
     rep = check_sigma_increment_bound(
-        lambda t, x: x, f, hpath, ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=0.0
+        lambda t, x: x[..., None], f, hpath, ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=0.0
     )
     assert rep.n_violations == 0
 
@@ -210,7 +225,7 @@ def test_sigma_increment_bound_smooth_nonlinear_case():
     f = generate_fbm(grid, FbmConfig(hurst=0.75, seed=3))
     g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=4))
     rep = check_sigma_increment_bound(
-        lambda t, x: np.sin(x), f, g, ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=1.0
+        lambda t, x: np.sin(x)[..., None], f, g, ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=1.0
     )
     assert rep.n_violations == 0
     assert rep.alpha == ALPHA

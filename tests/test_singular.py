@@ -1,7 +1,11 @@
 """The batched singular-kernel sweeps against dense references and per-path calls."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sddelab import FbmConfig, SamplePath, generate_fbm, lambda_alpha, make_grid, norm_alpha_infty
 from sddelab import _singular
@@ -125,6 +129,34 @@ def test_a_nan_row_leaves_the_other_rows_bit_identical(monkeypatch):
         keep = np.arange(5) != 2
         assert np.array_equal(poisoned[keep], clean[keep])
         assert np.isfinite(clean).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(2, 20), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batched_sweeps_equal_per_row_calls_with_a_nan_row(shape, seed, data):
+    n_rows, n_nodes, d = shape
+    rows = np.random.default_rng(seed).standard_normal(shape).cumsum(axis=1)
+    rows[data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_nodes - 1))] = np.nan
+    h = 1.0 / (n_nodes - 1)
+    functionals = {
+        "backward_increment_integrals": (
+            lambda v: backward_increment_integrals(v, ALPHA + 1.0, h), rows),
+        "signed scalar anchored_sweep": (
+            lambda v: anchored_sweep(v, ALPHA, h, 1.0 - ALPHA), rows[..., :1]),
+        "unsigned vector anchored_sweep": (
+            lambda v: anchored_sweep(v, ALPHA, h, 1.0, signed=False), rows),
+        "alpha_infty_rows": (lambda v: alpha_infty_rows(v, ALPHA, h), rows),
+        "lambda_alpha_rows": (lambda v: lambda_alpha_rows(v, ALPHA, h), rows),
+    }
+    rows_per_block = data.draw(st.integers(1, n_rows))
+    with mock.patch.object(_singular, "_BLOCK_BYTES", rows_per_block * rows[0].nbytes):
+        for name, (functional, values) in functionals.items():
+            per_row = np.array([functional(v) for v in values])
+            assert np.array_equal(functional(values), per_row, equal_nan=True), name
 
 
 @pytest.mark.parametrize("dim,signed", [(1, True), (1, False), (2, False)])
