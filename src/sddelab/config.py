@@ -9,6 +9,7 @@ subcommand; unknown keys in a config file are an error, and so are
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -191,6 +192,9 @@ def _require(cond: bool, message: str) -> None:
 
 def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
     """Reject inadmissible values; messages state the violated condition."""
+    for name, opt in SCHEMAS[subcommand].items():
+        if opt.kind in ("float", "maybe_float") and cfg[name] is not None:
+            _require(math.isfinite(cfg[name]), f"{name} must be finite, got {cfg[name]}")
     _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
     _require(cfg["horizon"] > 0.0, f"horizon must be > 0, got {cfg['horizon']}")
     _require(cfg["n_main"] >= 2, f"n_main must be >= 2, got {cfg['n_main']}")

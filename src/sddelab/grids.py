@@ -8,6 +8,7 @@ accumulation, so they are reproducible to a few machine epsilons.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -116,10 +117,11 @@ class TimeGrid:
 def aligned_steps(r: float, h: float) -> int:
     """The number of steps h in a delay r >= 0, snapped within ALIGNMENT_TOL.
 
-    r < 0 raises GridError, and r further off the grid DelayAlignmentError.
+    A negative or non-finite r raises GridError, and r further off the
+    grid DelayAlignmentError.
     """
-    if r < 0:
-        raise GridError(f"delay r must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise GridError(f"delay r must be finite and >= 0, got {r}")
     steps = r / h
     n = int(round(steps))
     if abs(steps - n) > ALIGNMENT_TOL:
@@ -150,8 +152,8 @@ def make_grid(T: float, n_main: int, r: float = 0.0) -> TimeGrid:
 
     The delay must be a whole number of steps (see aligned_steps).
     """
-    if not T > 0:
-        raise GridError(f"horizon T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise GridError(f"horizon T must be positive and finite, got {T}")
     if n_main < 2:
         raise GridError(f"n_main must be >= 2, got {n_main}")
     h = T / n_main

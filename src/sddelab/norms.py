@@ -18,7 +18,10 @@ The family, for a path f on [-r, T] and a driver g on [0, T]:
   increments, the quantity controlling the sigma-increment estimates.
 
 All integrals discretize by the product-linear rule in _singular; vector
-values enter through euclidean increment magnitudes.
+values enter through euclidean increment magnitudes.  The sups over nodes
+(norm_alpha_infty, norm_alpha_lambda, delta_r) sum exactly only the nodes
+whose certified bound can reach the sup, and equal the full sweep's sups
+bit for bit; norm_alpha_1 needs every node and keeps the full sweep.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from scipy.special import gamma as _gamma
 from ._singular import (
     anchored_sweep,
     backward_increment_integrals,
+    backward_increment_sups,
     cumulative_from_zero,
     hat_weights,
 )
@@ -64,11 +68,10 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _alpha_profile(values: np.ndarray, alpha: float, h: float, start: int) -> np.ndarray:
-    """|f(t)| + backward alpha-integral at every node from start on, per path."""
-    I = backward_increment_integrals(values, alpha + 1.0, h, start=start)[..., start:]
-    I += _magnitudes(values[..., start:, :])
-    return I
+def _alpha_sups(values: np.ndarray, alpha: float, h: float, start: int, weights=None) -> np.ndarray:
+    """Per path: sup over the nodes from start on of w(t) (|f(t)| + backward alpha-integral)."""
+    level = _magnitudes(values[..., start:, :])
+    return backward_increment_sups(values, alpha + 1.0, h, start=start, level=level, weights=weights)
 
 
 def alpha_infty_rows(
@@ -80,7 +83,7 @@ def alpha_infty_rows(
     (...), and each entry equals the path's own norm_alpha_infty bit for bit.
     """
     _check_alpha(alpha)
-    return np.max(_alpha_profile(values, alpha, h, start), axis=-1)
+    return _alpha_sups(values, alpha, h, start)
 
 
 def norm_alpha_infty(f: SamplePath, alpha: float, r: float | None = None) -> float:
@@ -113,20 +116,18 @@ def norm_alpha_lambda(
 ) -> float:
     """Weighted variant: sup_t e^(-lambda t) ( |f(t)| + backward integral ).
 
-    The solver uses lambda >= 1; any lambda >= 0 is accepted (lambda = 0
-    recovers norm_alpha_infty).
+    The solver uses lambda >= 1; any finite lambda >= 0 is accepted
+    (lambda = 0 recovers norm_alpha_infty).
     """
     _check_alpha(alpha)
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     s0 = f.grid.history_start(r)
-    B = _alpha_profile(f.values, alpha, f.grid.h, s0)
-    # large lambda overflows the history weight e^(lambda r); a node with an
-    # exactly zero profile still contributes 0, not inf * 0 = nan
+    # large lambda overflows the history weight e^(lambda r); the sup counts a
+    # node with an exactly zero profile as 0, not inf * 0 = nan
     with np.errstate(over="ignore"):
         weights = np.exp(-lam * f.grid.times()[s0:])
-        vals = np.where(B == 0.0, 0.0, weights * B)
-    return float(np.max(vals))
+    return float(_alpha_sups(f.values, alpha, f.grid.h, s0, weights))
 
 
 def weyl_derivative(g: SamplePath, alpha: float, s: float, t: float) -> float:
@@ -207,10 +208,7 @@ def delta_r(
             f"delta_r needs alpha < delta/(1+delta); got alpha={alpha}, delta={delta}"
         )
     s0 = f.grid.history_start(r)
-    I = backward_increment_integrals(
-        f.values, alpha + 1.0, f.grid.h, delta=delta, start=s0
-    )
-    return float(np.max(I[s0:]))
+    return float(backward_increment_sups(f.values, alpha + 1.0, f.grid.h, delta=delta, start=s0))
 
 
 def estimate_holder_exponent(f: SamplePath) -> float:

@@ -102,6 +102,23 @@ def test_off_grid_delay_is_a_config_error(capsys, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["norms", "--lam", "inf"], id="norms-lam-inf"),
+    pytest.param(["norms", "--lam", "nan"], id="norms-lam-nan"),
+    pytest.param(["fbm", "--horizon", "inf"], id="fbm-horizon-inf"),
+    pytest.param(["solve", "--r", "inf"], id="solve-r-inf"),
+    pytest.param(["norms", "--r", "inf"], id="norms-r-inf"),
+    pytest.param(["solve", "--picard-tol", "inf"], id="solve-picard-tol-inf"),
+    pytest.param(["converge", "--hurst", "nan"], id="converge-hurst-nan"),
+])
+def test_a_non_finite_option_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run(argv + ["--n-main", 64, "--outdir", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "finite" in err[0], err
+    assert not out.exists()
+
+
 # --- subcommand runs ------------------------------------------------------
 
 

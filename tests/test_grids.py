@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab import _singular
-from sddelab.grids import atomic_open
+from sddelab.grids import aligned_steps, atomic_open
 from sddelab import (
     DelayAlignmentError,
     GridError,
@@ -59,6 +59,16 @@ def test_make_grid_rejects_misaligned_delay():
 def test_make_grid_rejects_degenerate_inputs(T, n):
     with pytest.raises(GridError):
         make_grid(T, n)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_horizons_and_delays_are_grid_errors(bad):
+    with pytest.raises(GridError, match="finite"):
+        make_grid(bad, 8)
+    with pytest.raises(GridError, match="finite"):
+        make_grid(1.0, 8, bad)
+    with pytest.raises(GridError, match="finite"):
+        aligned_steps(bad, 0.125)
 
 
 def test_index_of_roundtrip():

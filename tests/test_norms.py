@@ -125,6 +125,12 @@ def test_weighted_norm_with_zero_weight_equals_sup_norm():
     )
 
 
+@pytest.mark.parametrize("lam", [-1.0, np.inf, np.nan])
+def test_weighted_norm_rejects_a_negative_or_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="lambda"):
+        norm_alpha_lambda(ramp(64), ALPHA, lam)
+
+
 def test_weighted_norm_of_ramp_matches_continuum_maximum():
     # independent oracle: maximize the closed-form profile e^{-lam t}(t + t^0.7/0.7)
     lam = 3.0

@@ -12,6 +12,7 @@ from sddelab import _singular
 from sddelab._singular import (
     anchored_sweep,
     backward_increment_integrals,
+    backward_increment_sups,
     hat_weights,
     iterated_increment_integrals,
 )
@@ -157,6 +158,77 @@ def test_batched_sweeps_equal_per_row_calls_with_a_nan_row(shape, seed, data):
         for name, (functional, values) in functionals.items():
             per_row = np.array([functional(v) for v in values])
             assert np.array_equal(functional(values), per_row, equal_nan=True), name
+
+
+def full_sweep_sups(values, kappa, h, delta, start, level, weights):
+    """np.max over the full kernel's profile w (a + I): what the pruned sups must equal."""
+    B = backward_increment_integrals(values, kappa, h, delta, start)[..., start:]
+    if level is not None:
+        B = B + level
+    if weights is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = np.where(B == 0.0, 0.0, weights * B)
+    return np.max(B, axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(2, 90), st.sampled_from([1, 2, 3])),
+    kind=st.sampled_from(["walk", "constant", "alternating", "spike-first", "spike-last"]),
+    poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    delta=st.sampled_from([1.0, 0.6]),
+    lam=st.sampled_from([None, 0.0, 2.0, 3000.0]),
+    with_level=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pruned_sups_equal_the_full_sweep(shape, kind, poison, delta, lam, with_level, seed, data):
+    n_rows, n_nodes, d = shape
+    rows = np.random.default_rng(seed).standard_normal(shape).cumsum(axis=1)
+    if kind == "constant":  # every node ties with the sup
+        rows[:] = rows[:, :1]
+    elif kind == "alternating":  # loose bounds everywhere: nothing prunes
+        rows *= np.where(np.arange(n_nodes) % 2, 1.0, -1.0)[:, None] / np.abs(rows)
+    elif kind == "spike-first":
+        rows[:, 0] += 50.0
+    elif kind == "spike-last":
+        rows[:, -1] += 50.0
+    if poison is not None:
+        rows[data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_nodes - 1))] = poison
+    start = data.draw(st.integers(0, n_nodes - 1))
+    h = 1.0 / n_nodes
+    level = np.linalg.norm(rows[:, start:], axis=-1) if with_level else None
+    weights = None
+    if lam is not None:  # at lambda = 3000 the history weights overflow to inf
+        with np.errstate(over="ignore"):
+            weights = np.exp(-lam * (np.arange(start, n_nodes) - n_nodes // 2) * h)
+    # short rows prune too, and blocks hold from one row to all of them; an
+    # inf row makes inf - inf in the full sweep
+    with mock.patch.object(_singular, "_PRUNE_MIN_NODES", data.draw(st.integers(2, 40))), \
+            mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * rows.nbytes))), \
+            np.errstate(invalid="ignore"):
+        want = full_sweep_sups(rows, ALPHA + 1.0, h, delta, start, level, weights)
+        got = backward_increment_sups(rows, ALPHA + 1.0, h, delta, start, level, weights)
+    assert got.shape == (n_rows,)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("dim,delta,start", [(1, 1.0, 0), (2, 0.6, 300), (3, 1.0, 17)])
+def test_pruned_sups_of_long_paths_sum_few_nodes(monkeypatch, dim, delta, start):
+    grid, rows = fbm_rows(3, n=2048, dim=dim)
+    level = np.linalg.norm(rows[:, start:], axis=-1)
+    summed = []
+
+    def counted(*args):
+        summed.append(len(args[-3]))  # the nodes j of one round
+        return continued(*args)
+
+    continued = _singular._continued
+    monkeypatch.setattr(_singular, "_continued", counted)
+    got = backward_increment_sups(rows, ALPHA + 1.0, grid.h, delta, start, level)
+    want = full_sweep_sups(rows, ALPHA + 1.0, grid.h, delta, start, level, None)
+    assert np.array_equal(got, want)
+    assert sum(summed) < 0.05 * rows.shape[0] * (grid.n_nodes - start)
 
 
 @pytest.mark.parametrize("dim,signed", [(1, True), (1, False), (2, False)])

@@ -207,6 +207,31 @@ def test_picard_on_additive_equation_stops_immediately():
     assert bundle.iterations <= 2
 
 
+# iterations and residuals at n_main = 256, r = 0.25, driver seed 3, as the
+# full O(n^2) sweep gave them; the 321-node residual sups now run pruned
+PICARD_PINS = {
+    "additive": (2, (0.5393330066108759, 0.0)),
+    "linear": (8, (0.5003397995012359, 0.0124331251724316, 0.0008084598602891046,
+                   6.825717743448615e-05, 5.46704395166394e-06, 5.966942825277681e-07,
+                   5.9380952995578616e-08, 5.136985185592653e-09)),
+    "sine": (8, (0.4480926739750537, 0.010227361343402224, 0.0005424067234958129,
+                 3.693824421470605e-05, 2.973501274588218e-06, 2.469583548504665e-07,
+                 2.295699999970935e-08, 2.1830146685104014e-09)),
+    "hereditary-sup": (9, (0.7069603993079558, 0.037818181812662284, 0.003555391744001355,
+                           0.0003188600067346877, 2.475043332488796e-05,
+                           1.5907293986445866e-06, 1.5838840923045496e-07,
+                           1.4513784186040382e-08, 1.2351053862261212e-09)),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PICARD_PINS))
+def test_picard_iterations_and_residuals_are_pinned(preset):
+    grid = make_grid(1.0, 256, 0.25)
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+    bundle = solve_picard(coefficient_preset(preset), parts(grid), driver_on(grid, seed=3), cfg)
+    assert (bundle.iterations, bundle.residuals) == PICARD_PINS[preset]
+
+
 def test_two_starting_points_land_on_the_same_fixed_point():
     grid = make_grid(1.0, 256, 0.25)
     g = driver_on(grid, seed=12)
