@@ -12,9 +12,11 @@ Cell weights are expressed through the two hat functions on each cell, so
 every discrete integral is a nonnegative combination of nodal phi values.
 That makes nodewise inequalities between integrands carry over to the
 discrete integrals exactly, which the bound-checking modules rely on, and
-it lets backward_increment_sups bound whole bands of lags by the path's
-range over them: a sup over nodes sums exactly only the nodes whose bound
-can reach it, and equals the full sweep's sup bit for bit.
+it lets the sups bound whole pieces of lags by the path's range over them
+(_piece_boxes, one table of running extrema for every pruned sup): a sup
+over nodes (backward_increment_sups) or over anchored pairs
+(anchored_sweep) sums exactly only the nodes or anchors whose bound can
+reach it, and equals the full sweep's sup bit for bit.
 """
 from __future__ import annotations
 
@@ -40,13 +42,15 @@ SLACK_REL = 1e-6
 #: per block follow from the row length
 _BLOCK_BYTES = 1 << 19
 
-#: pruned sups (backward_increment_sups): lags 1.._HEAD_LAGS are summed at
-#: every node, each later octave of lags is bounded in 2**_SPLIT pieces,
-#: and rows of fewer nodes than _PRUNE_MIN_NODES take the full sweep, which
-#: is faster there
+#: pruned sups (backward_increment_sups, anchored_sweep): lags
+#: 1.._HEAD_LAGS are summed at every node or anchor, each later octave of
+#: lags is bounded in 2**_SPLIT pieces, and rows of fewer nodes than
+#: _PRUNE_MIN_NODES (_ANCHORED_MIN_NODES) take the full sweep, which is
+#: faster there
 _HEAD_LAGS = 15
 _SPLIT = 2
 _PRUNE_MIN_NODES = 160
+_ANCHORED_MIN_NODES = 64
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
 
@@ -219,21 +223,92 @@ def _weighted(B: np.ndarray, w: np.ndarray | None) -> np.ndarray:
         return np.where(B == 0.0, 0.0, w * B)
 
 
+def _piece_boxes(v: np.ndarray, H: int, m: int, reach: int = 0):
+    """Yield (lag, width, hi, lo) for the pieces of the lags H+1..m-1 of rows v.
+
+    The pieces come 2^_SPLIT to an octave [2^b, 2^(b+1)) of lags.  hi and
+    lo are left-clipped sparse tables of running extrema, updated in place
+    between pieces: hi[..., j] is the max of v over the nodes j - span + 1..j
+    (from node 0 on), per component, with span >= width + reach.  So the
+    box [lo, hi] at node j - lag holds every node that node j sees at the
+    lags lag - reach..lag + width - 1.
+    """
+    lags = [H + 1]  # first lag of each piece
+    while lags[-1] < m:
+        lags.append(lags[-1] + (1 << max(0, lags[-1].bit_length() - 1 - _SPLIT)))
+    hi, lo, span = v.copy(), v.copy(), 1
+    for lag, width in zip(lags, np.diff(lags).tolist()):
+        while span < width + reach:
+            np.maximum(hi[..., span:], hi[..., :-span], out=hi[..., span:])
+            np.minimum(lo[..., span:], lo[..., :-span], out=lo[..., span:])
+            span *= 2
+        yield lag, width, hi, lo
+
+
+def _box_distance(v, hi, lo, lag: int, delta: float = 1.0) -> np.ndarray:
+    """|dev|^delta at the nodes j >= lag: dev is the largest distance from v[j]
+    to the box [lo, hi] at node j - lag, euclidean over components."""
+    cur = v[..., lag:]
+    dev = np.maximum(cur - lo[..., :-lag], hi[..., :-lag] - cur)
+    return _increment_magnitude(dev, delta)
+
+
+def _margin(bound: np.ndarray, m: int) -> np.ndarray:
+    """bound widened by 4 (m + 16) ulps and as many subnormals; exact 0 stays 0.
+
+    A computed sum of O(m) nonnegative terms and this bound on it each
+    round within that margin, and an exactly-0 bound belongs to an exactly-0
+    value, so ties stay exact.
+    """
+    slack = 4 * (m + 16)
+    return np.where(bound == 0.0, 0.0, bound * (1.0 + slack * _EPS) + slack * _TINY)
+
+
+def _raise_to_exact(best, bound, exact, row_bytes):
+    """Raise best[r] to the exact values of every node whose bound exceeds it.
+
+    bound[r, k] dominates the value exact(r, k) of node k of row r, for
+    arrays of rows r and nodes k.  Each row's nodes are visited in
+    decreasing bound order, in rounds of doubling size, until no bound
+    left in the row exceeds its best; best is updated in place.
+    """
+    n_rows = len(best)
+    cr, cj = np.nonzero(bound > best[:, None])
+    cb = bound[cr, cj]
+    by = np.lexsort((-cb, cr))
+    cr, cj, cb = cr[by], cj[by], cb[by]
+    first = np.searchsorted(cr, np.arange(n_rows))
+    end = np.searchsorted(cr, np.arange(n_rows), side="right")
+    pos, k = 0, 1
+    while True:
+        live = np.flatnonzero(first + pos < end)
+        live = live[cb[first[live] + pos] > best[live]]
+        if len(live) == 0:
+            return
+        at = first[live, None] + pos + np.arange(k)
+        inside = at < end[live, None]
+        at = np.where(inside, at, first[live, None] + pos)
+        rl, c = np.nonzero(inside & (cb[at] > best[live, None]))
+        vals = np.full(at.shape, -np.inf)
+        vals[rl, c] = exact(live[rl], cj[at[rl, c]])
+        best[live] = np.maximum(best[live], vals.max(axis=1))
+        pos += k
+        k = min(2 * k, max(1, _BLOCK_BYTES // (4 * row_bytes * len(live))))
+
+
 def _pruned_sups(v, lev, w, kappa, h, delta):
     """(sups, overflow) of backward_increment_sups for a block of finite rows.
 
     1. The lags 1..H of every node are summed as the kernel sums them, so
        the nodes j <= H are exact.
-    2. The later lags come in pieces, 2^_SPLIT to an octave [2^b, 2^(b+1)).
-       At node j a piece is bounded by its weight summed over the lags up
-       to j, times dev^delta: dev is the largest distance from f(t_j) to
-       the piece's component-wise box [min f, max f] (euclidean over
-       components).  The boxes come from left-clipped sparse tables of
-       running extrema, level k spanning 2^k nodes.  The bound on I gets a
-       rounding margin, so that a plus it dominates the computed a + I.
-    3. The other nodes are visited in decreasing bound order, in rounds
-       of doubling size (_continued), until no bound left in a row
-       exceeds its best exact value.
+    2. The later lags come in pieces (_piece_boxes).  At node j a piece is
+       bounded by its weight summed over the lags up to j, times dev^delta:
+       dev is the largest distance from f(t_j) to the piece's box.  The
+       bound on I gets a rounding margin, so that a plus it dominates the
+       computed a + I.
+    3. The other nodes are summed exactly in decreasing bound order
+       (_raise_to_exact, _continued) until no bound left in a row exceeds
+       its best exact value.
 
     overflow flags rows whose bound is not finite.
     """
@@ -254,57 +329,26 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
     best = np.max(_weighted(head, None if w is None else w[: H + 1]), axis=1)
 
     bound = acc.copy()
-    lags = [H + 1]  # first lag of each piece
-    while lags[-1] < m:
-        lags.append(lags[-1] + (1 << max(0, lags[-1].bit_length() - 1 - _SPLIT)))
-    hi, lo, span = v.copy(), v.copy(), 1
-    for lag, width in zip(lags, np.diff(lags)):
-        while span < width:
-            np.maximum(hi[..., span:], hi[..., :-span], out=hi[..., span:])
-            np.minimum(lo[..., span:], lo[..., :-span], out=lo[..., span:])
-            span *= 2
-        cur = v[..., lag:]
-        dev = np.maximum(cur - lo[..., :-lag], hi[..., :-lag] - cur)
-        dev = _increment_magnitude(dev, delta)
+    for lag, width, hi, lo in _piece_boxes(v, H, m):
+        dev = _box_distance(v, hi, lo, lag, delta)
         cw = np.cumsum(W[lag - 1 : lag - 1 + width])
         dev[:, : len(cw) - 1] *= cw[:-1]  # node lag + i sees only lags lag..lag + i
         dev[:, len(cw) - 1 :] *= cw[-1]
         bound[:, lag:] += dev
-    # the kernel's sum and this bound each round O(m) nonnegative terms, so
-    # a margin of 4 (m + 16) ulps (and as many subnormals) covers both; an
-    # exactly-0 bound means I is exactly 0, so a + I is a and ties stay exact
-    slack = 4 * (m + 16)
-    bound = np.where(bound == 0.0, 0.0, bound * (1.0 + slack * _EPS) + slack * _TINY)
+    bound = _margin(bound, m)
     bound += lev
     overflow = ~np.isfinite(bound).all(axis=1)
     bound = _weighted(bound[:, H + 1 :], None if w is None else w[H + 1 :])
+    bound[overflow] = -np.inf
 
-    del hi, lo
-    # candidates: nodes whose bound beats the head, by row, then by decreasing bound
-    cr, cj = np.nonzero((bound > best[:, None]) & ~overflow[:, None])
-    cb = bound[cr, cj]
-    by = np.lexsort((-cb, cr))
-    cr, cj, cb = cr[by], cj[by] + H + 1, cb[by]
-    first = np.searchsorted(cr, np.arange(n_rows))
-    end = np.searchsorted(cr, np.arange(n_rows), side="right")
     # reversed rows, padded with their first value: the lags H+1.. of node j
     # read the contiguous window rev[..., m - j + H:]
     rev = np.concatenate([v[..., ::-1], np.repeat(v[..., :1], m, axis=-1)], axis=-1)
-    pos, k = 0, 1
-    while True:
-        live = np.flatnonzero(first + pos < end)
-        live = live[cb[first[live] + pos] > best[live]]
-        if len(live) == 0:
-            break
-        at = first[live, None] + pos + np.arange(k)
-        inside = at < end[live, None]
-        at = np.where(inside, at, first[live, None] + pos)
-        rl, c = np.nonzero(inside & (cb[at] > best[live, None]))
-        vals = np.full(at.shape, -np.inf)
-        vals[rl, c] = _continued(v, rev, acc, far, lev, w, W, live[rl], cj[at[rl, c]], H, delta)
-        best[live] = np.maximum(best[live], vals.max(axis=1))
-        pos += k
-        k = min(2 * k, max(1, _BLOCK_BYTES // (4 * v[0].nbytes * len(live))))
+    _raise_to_exact(
+        best, bound,
+        lambda r, k: _continued(v, rev, acc, far, lev, w, W, r, k + H + 1, H, delta),
+        v[0].nbytes,
+    )
     return best, overflow
 
 
@@ -368,11 +412,14 @@ def anchored_sweep(
 
     psi = f(t) - f(s) when signed (scalar paths only), else the euclidean
     magnitude |f(t) - f(s)|; K is the hat-rule integral over u in [s, t]
-    of psi_s(u) (u-s)^(alpha-2).  values has the layout of
+    of psi_s(u) (u-s)^(alpha-2), and c >= 0.  values has the layout of
     backward_increment_integrals and the result has shape (...); a path
-    with fewer than two nodes gives 0, and a NaN node gives NaN.  Each
-    lag sweeps every anchor of every row of a cache-sized block at once;
-    each row's arithmetic is independent of its block.
+    with fewer than two nodes gives 0, and a NaN node gives NaN.  The
+    result equals the lag-by-lag sweep over every pair bit for bit: rows
+    of at least _ANCHORED_MIN_NODES finite nodes sum exactly only the
+    anchors whose certified bound can reach the max (_pruned_anchored),
+    and the others sweep every anchor of every row of a cache-sized block
+    at once, each row's arithmetic independent of its block.
     """
     rows, batch = _as_rows(values)
     if signed and rows.ndim == 3:
@@ -380,13 +427,126 @@ def anchored_sweep(
     N = rows.shape[-1] - 1
     sups = np.zeros(len(rows))
     inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
-    for blk in _row_blocks(len(rows), rows[:1].nbytes):
-        best = sups[blk]
-        for L, psi, K in _forward_lags(rows[blk], 2.0 - alpha, h, signed):
-            val = K * c
-            val += psi * inv_denom[L - 1]
-            np.maximum(best, np.abs(val, out=val).max(axis=1), out=best)
+    full = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if N + 1 < _ANCHORED_MIN_NODES:
+        full[:] = True
+    pruned = np.flatnonzero(~full)
+    for blk in _row_blocks(len(pruned), 4 * rows[:1].nbytes):
+        idx = pruned[blk]
+        sups[idx], overflow = _pruned_anchored(rows[idx], inv_denom, alpha, h, c, signed)
+        full[idx[overflow]] = True
+    swept = np.flatnonzero(full)
+    for blk in _row_blocks(len(swept), rows[:1].nbytes):
+        sups[swept[blk]] = _swept_max(rows[swept[blk]], inv_denom, alpha, h, c, signed)[0]
     return sups.reshape(batch)
+
+
+def _swept_max(v, inv_denom, alpha, h, c, signed, last=None):
+    """(max of |psi (t-s)^(alpha-1) + c K| over the lags 1..last of every anchor, K at lag last).
+
+    Per row of the block v; last None sweeps every lag.
+    """
+    best, K = np.zeros(len(v)), None
+    for L, psi, K in _forward_lags(v, 2.0 - alpha, h, signed):
+        val = K * c
+        val += psi * inv_denom[L - 1]
+        np.maximum(best, np.abs(val, out=val).max(axis=1), out=best)
+        if L == last:
+            break
+    return best, K
+
+
+def _pruned_anchored(v, inv_denom, alpha, h, c, signed):
+    """(sups, overflow) of anchored_sweep for a block of finite rows.
+
+    1. The lags 1..H of every anchor run through _forward_lags as the
+       sweep runs them; each anchor keeps K at lag H.
+    2. The later lags come in pieces (_piece_boxes, on the reversed rows,
+       where anchor s reads its lags backwards).  Over a piece's lags
+       |psi| <= dev, the largest distance from f(s) to the piece's box,
+       taken one node further so that the psi of lag L_first - 1, which
+       P[L_first] weights, is in it too; and |K| grows by at most
+       dev times the piece's mass sum(P + Q).  So each piece bounds its
+       values by dev (t - s)^(alpha-1) at its first lag plus
+       c (|K_H| + the running sum of mass dev), and the anchor's bound is
+       the largest of these, with a rounding margin.
+    3. The anchors are then summed exactly in decreasing bound order
+       (_raise_to_exact, _anchored_tails) until no bound left in a row
+       exceeds its best exact value.
+
+    overflow flags rows whose head max or bound is not finite.
+    """
+    m = v.shape[-1]
+    N = m - 1
+    P, Q = hat_weights(2.0 - alpha, h, N)
+    H = min(_HEAD_LAGS, N)
+    best, K_head = _swept_max(v, inv_denom, alpha, h, c, signed, last=H)  # K of the anchors 0..N-H
+    bound = _anchored_bounds(v, K_head, inv_denom, P, Q, c, H)
+    overflow = ~(np.isfinite(bound).all(axis=1) & np.isfinite(best))
+    bound[overflow] = -np.inf
+
+    # rows padded with their last value: the lags H.. of anchor s read the
+    # contiguous window pad[..., s + H:]
+    pad = np.concatenate([v, np.repeat(v[..., -1:], m, axis=-1)], axis=-1)
+    _raise_to_exact(
+        best, bound,
+        lambda r, s: _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H),
+        v[0].nbytes,
+    )
+    return best, overflow
+
+
+def _anchored_bounds(v, K_head, inv_denom, P, Q, c, H):
+    """Bounds, with the rounding margin, on each anchor's values past lag H (step 2 of _pruned_anchored).
+
+    Entry [r, s] covers the lags H+1..N - s of anchor s < N - H of row r.
+    """
+    m = v.shape[-1]
+    # anchor s = N - j of the reversed rows: bounds accumulate at node j
+    rev = np.ascontiguousarray(v[..., ::-1])
+    mass_dev = np.zeros((len(v), m))
+    mass_dev[:, H:] = np.abs(K_head[:, ::-1])
+    bound = np.zeros((len(v), m))
+    for lag, width, hi, lo in _piece_boxes(rev, H, m, reach=1):
+        dev = _box_distance(rev, hi, lo, lag - 1)[:, 1:]
+        mass = np.sum(P[lag : lag + width] + Q[lag : lag + width])
+        mass_dev[:, lag:] += mass * dev
+        dev *= np.max(inv_denom[lag - 1 : lag - 1 + width])
+        dev += c * mass_dev[:, lag:]
+        np.maximum(bound[:, lag:], dev, out=bound[:, lag:])
+    return _margin(bound[:, ::-1], m)[:, : m - 1 - H]
+
+
+def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H):
+    """Exact max over the lags H+1..N - s of |psi (t-s)^(alpha-1) + c K| at the anchors s of the rows r.
+
+    The cells of each anchor's lags are added to its K at lag H by a
+    sequential cumsum, which repeats the sweep's additions; the window
+    runs on into the padding, whose lags are masked out.
+    """
+    N = v.shape[-1] - 1
+    n_lag = N - H - s.min()
+    windows = np.lib.stride_tricks.sliding_window_view(pad, n_lag + 1, axis=-1)
+    if v.ndim == 2:
+        psi = windows[r, s + H]
+        psi -= v[r, s][:, None]
+    else:
+        psi = windows[r, :, s + H]
+        psi -= v[r, :, s][:, :, None]
+    if not signed:
+        psi = _increment_magnitude(psi)
+    K = np.empty((len(s), n_lag + 1))
+    K[:, 0] = K_head[r, s]
+    lags = slice(H + 1, H + 1 + n_lag)
+    with np.errstate(over="ignore", invalid="ignore"):  # the padding's lags are masked out
+        np.multiply(psi[:, 1:], Q[lags], out=K[:, 1:])
+        K[:, 1:] += P[lags] * psi[:, :-1]
+        np.cumsum(K, axis=1, out=K)
+        val = K[:, 1:] * c
+        val += psi[:, 1:] * inv_denom[H:N - s.min()]
+        np.abs(val, out=val)
+    val[np.arange(n_lag) >= (N - H - s)[:, None]] = 0.0
+    return val.max(axis=1)
 
 
 def backward_profile_integrals(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:

@@ -18,19 +18,26 @@ The family, for a path f on [-r, T] and a driver g on [0, T]:
   increments, the quantity controlling the sigma-increment estimates.
 
 All integrals discretize by the product-linear rule in _singular; vector
-values enter through euclidean increment magnitudes.  The sups over nodes
-(norm_alpha_infty, norm_alpha_lambda, delta_r) sum exactly only the nodes
-whose certified bound can reach the sup, and equal the full sweep's sups
-bit for bit; norm_alpha_1 needs every node and keeps the full sweep.
+values enter through euclidean increment magnitudes.  Every sup is exact
+without the full sweep: the sups over nodes (norm_alpha_infty,
+norm_alpha_lambda, delta_r) and over anchored pairs (lambda_alpha,
+norm_1ma_infty_T) sum exactly only the nodes or anchors whose certified
+bound can reach the sup, and the Hoelder ratio reduces only the pieces of
+lags whose bound can; each equals the full sweep's sup bit for bit.  Only
+norm_alpha_1 needs every node and keeps the full sweep.  Gamma is a port
+of Cephes' (scipy's) Gamma, so importing the package needs no scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from ._singular import (
+    _HEAD_LAGS,
+    _box_distance,
+    _margin,
+    _piece_boxes,
     anchored_sweep,
     backward_increment_integrals,
     backward_increment_sups,
@@ -56,6 +63,48 @@ __all__ = [
     "NormReport",
     "compute_norm_report",
 ]
+
+#: Cephes' rational approximation of Gamma on [2, 3]
+_GAMMA_P = (
+    1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+    4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+    1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+    7.14304917030273074085e-2, 1.00000000000000000320e0,
+)
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner evaluation of the polynomial with coefficients coef, highest first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x) for 0 < x < 33, operation for operation as Cephes' Gamma.
+
+    The argument is shifted into [2, 3] by the recurrence and the rational
+    approximation taken there; it equals scipy.special.gamma bit for bit.
+    """
+    x, z = float(x), 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 2.0:
+        if x < 1e-9:
+            return z / ((1.0 + 0.5772156649015329 * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 0.5:
@@ -97,9 +146,39 @@ def _lag_sups(values: np.ndarray, lags) -> np.ndarray:
 
 
 def _holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
-    """Largest |f(t+lh) - f(t)| / (lh)^mu over lags l, reduced lag by lag."""
+    """Largest |f(t+lh) - f(t)| / (lh)^mu over lags l.
+
+    The lags 1.._HEAD_LAGS are reduced exactly.  Each later piece of lags
+    (_piece_boxes) is bounded by the largest distance from f(t) to the
+    piece's box over t, over the piece's smallest (lh)^mu, with a rounding
+    margin; only the pieces whose bound beats the best so far are reduced
+    lag by lag, in decreasing bound order.  A path with a non-finite node,
+    or whose bound overflows, reduces every lag, so the result equals the
+    every-lag max bit for bit and a NaN node gives NaN.
+    """
     lags = np.arange(1, values.shape[0])
-    return float(np.max(_lag_sups(values, lags) / (lags * h) ** mu, initial=0.0))
+    denom = (lags * h) ** mu
+
+    def ratios(part):
+        return _lag_sups(values, part) / denom[part - 1]
+
+    if not np.isfinite(values).all():
+        return float(np.max(ratios(lags), initial=0.0))
+    H = min(_HEAD_LAGS, len(lags))
+    best = float(np.max(ratios(lags[:H]), initial=0.0))
+    rows = np.ascontiguousarray(values.T)[None]  # (1, d, n): every d is squared, as _magnitudes does
+    pieces, bounds = [], []
+    for lag, width, hi, lo in _piece_boxes(rows, H, values.shape[0]):
+        pieces.append(lags[lag - 1 : lag - 1 + width])
+        bounds.append(np.max(_box_distance(rows, hi, lo, lag)) / np.min(denom[pieces[-1] - 1]))
+    bounds = _margin(np.array(bounds), values.shape[1])
+    if not np.isfinite(bounds).all():
+        return float(np.max(ratios(lags), initial=0.0))
+    for k in np.argsort(-bounds, kind="stable"):
+        if not bounds[k] > best:
+            break
+        best = max(best, float(np.max(ratios(pieces[k]))))
+    return best
 
 
 def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
@@ -150,7 +229,7 @@ def weyl_derivative(g: SamplePath, alpha: float, s: float, t: float) -> float:
     K = float(np.dot(P[1:], psi[:-1]) + np.dot(Q[1:], psi[1:]))
     bracket = (g.values[i, 0] - g.values[j, 0]) / (m * h) ** (1.0 - alpha)
     bracket -= (1.0 - alpha) * K
-    return bracket / float(_gamma(alpha))
+    return bracket / _gamma(alpha)
 
 
 def lambda_alpha_rows(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
@@ -163,7 +242,7 @@ def lambda_alpha_rows(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     _check_alpha(alpha)
     comps = np.moveaxis(np.asarray(values, dtype=float), -1, -2)[..., None]
     sups = anchored_sweep(comps, alpha, h, 1.0 - alpha)
-    return np.max(sups, axis=-1) / float(_gamma(alpha) * _gamma(1.0 - alpha))
+    return np.max(sups, axis=-1) / (_gamma(alpha) * _gamma(1.0 - alpha))
 
 
 def lambda_alpha(g: SamplePath, alpha: float) -> float:
@@ -216,7 +295,10 @@ def estimate_holder_exponent(f: SamplePath) -> float:
 
     A rough diagnostic of the Hoelder regularity of a sampled path, used
     to sanity-check drivers; dyadic lags up to a quarter of the grid.
+    A path with a non-finite node raises ValueError.
     """
+    if not np.isfinite(f.values).all():
+        raise ValueError("a node of the path is non-finite: cannot estimate exponent")
     lags = 1 << np.arange(max((f.values.shape[0] - 1) // 4, 1).bit_length())
     sups = _lag_sups(f.values, lags)
     live = sups > 0

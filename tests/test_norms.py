@@ -15,6 +15,10 @@ Reference values below are hand-derived for simple paths on [0, 1]:
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as Gamma
 
+import sddelab
+from sddelab import norms
+from sddelab.grids import TimeGrid
 from sddelab.norms import NormReport
 from sddelab import (
     FbmConfig,
@@ -271,3 +278,133 @@ def test_a_nan_node_poisons_the_driver_functionals():
     assert math.isnan(lambda_alpha(bad, ALPHA))
     assert math.isnan(norm_1ma_infty_T(bad, ALPHA))
     assert math.isnan(norm_alpha_infty(bad, ALPHA))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_holder_exponent_estimate_rejects_a_non_finite_node(bad):
+    f = ramp(64)
+    vals = f.values.copy()
+    vals[17, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_holder_exponent(SamplePath(f.grid, vals))
+
+
+def test_gamma_port_equals_scipy_bit_for_bit():
+    x = np.concatenate([
+        np.linspace(0.0, 1.0, 200_001)[1:-1],
+        [5e-324, 1e-12, 1e-9, 2e-9, np.nextafter(1.0, 0.0), 1.0, 1.5, 2.0, 2.5, 3.0, 7.25, 32.5],
+    ])
+    assert np.array_equal([norms._gamma(v) for v in x], Gamma(x))
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = str(Path(sddelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, sddelab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def every_lag_holder(values, mu, h):
+    """Every lag reduced: the seminorm the pruned one must equal."""
+    lags = np.arange(1, values.shape[0])
+    return float(np.max(norms._lag_sups(values, lags) / (lags * h) ** mu, initial=0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 200), st.sampled_from([1, 2, 3])),
+    kind=st.sampled_from(["walk", "constant", "alternating", "ramp", "spike-first", "spike-last"]),
+    poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    mu=st.sampled_from([0.3, 0.7, 1.0]),
+    h=st.sampled_from([None, 1e-3, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pruned_holder_seminorm_equals_the_every_lag_max(shape, kind, poison, mu, h, seed, data):
+    n_nodes, d = shape
+    values = np.random.default_rng(seed).standard_normal(shape).cumsum(axis=0)
+    if kind == "constant":
+        values[:] = values[:1]
+    elif kind == "alternating":  # the sup sits at lag 1
+        values = np.where(np.arange(n_nodes) % 2, 1.0, -1.0)[:, None] * np.ones(d)
+    elif kind == "ramp":  # for mu < 1 the sup sits at the last lag, for mu = 1 every lag ties
+        values = np.arange(n_nodes)[:, None] * values[:1]
+    elif kind == "spike-first":
+        values[0] += 50.0
+    elif kind == "spike-last":
+        values[-1] += 50.0
+    if poison is not None:
+        values[data.draw(st.integers(0, n_nodes - 1)), data.draw(st.integers(0, d - 1))] = poison
+    h = 1.0 / n_nodes if h is None else h
+    with np.errstate(invalid="ignore"):
+        got = norms._holder_seminorm(values, mu, h)
+        want = every_lag_holder(values, mu, h)
+    assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pruned_holder_seminorm_of_long_paths_reduces_few_lags(monkeypatch, dim):
+    grid = make_grid(1.0, 2048)
+    paths = [generate_fbm(grid, FbmConfig(hurst=0.75, dim=dim, seed=11), index=i).values for i in range(3)]
+    want = [every_lag_holder(v, 0.7, grid.h) for v in paths]
+    reduced = []
+
+    def counted(values, lags):
+        reduced.append(len(lags))
+        return lag_sups(values, lags)
+
+    lag_sups = norms._lag_sups
+    monkeypatch.setattr(norms, "_lag_sups", counted)
+    assert [norms._holder_seminorm(v, 0.7, grid.h) for v in paths] == want
+    assert sum(reduced) < 0.5 * len(paths) * grid.n_main
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+    n=st.sampled_from([64, 300]),
+    history=st.sampled_from([0, 16]),
+    dim=st.sampled_from([1, 2]),
+)
+def test_norms_are_invariant_under_a_time_shift(seed, shift, n, history, dim):
+    # 300 steps prune every sup; the e^(-lambda t) weight reads the clock, so
+    # the weighted norm is shift-invariant only at lambda = 0
+    grid = make_grid(1.0, n, history / n)
+    walk = np.random.default_rng(seed).standard_normal((grid.n_nodes, dim)).cumsum(axis=0)
+    f = SamplePath(grid, walk * grid.h ** 0.75)
+    # the same nodes, h, T and r on a clock moved by shift
+    moved_grid = TimeGrid(grid.t_start + shift, grid.t_end + shift, grid.n_history, grid.n_main, grid.h)
+    moved = SamplePath(moved_grid, f.values)
+    for functional in (
+        lambda p: norm_alpha_infty(p, ALPHA),
+        lambda p: norm_alpha_infty(p, ALPHA, p.grid.r),
+        lambda p: norm_holder(p, 0.7),
+        lambda p: norm_holder(p, 0.7, 0.0),
+        lambda p: norm_alpha_lambda(p, ALPHA, 0.0),
+        lambda p: lambda_alpha(p, ALPHA),
+        lambda p: norm_1ma_infty_T(p, ALPHA),
+        lambda p: norm_alpha_1(p, ALPHA),
+        lambda p: delta_r(p, ALPHA, 0.8),
+    ):
+        assert functional(moved) == functional(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_nan_node_gives_nan_holder_and_integral_norms(n, dim, seed, data):
+    # up to 16 nodes every Hoelder lag is in the exact head; longer finite
+    # paths bound pieces of lags, which a NaN node must not do, and
+    # norm_alpha_1 always takes the full sweep
+    grid = make_grid(1.0, n)
+    vals = np.random.default_rng(seed).standard_normal((grid.n_nodes, dim)).cumsum(axis=0)
+    vals[data.draw(st.integers(0, n)), data.draw(st.integers(0, dim - 1))] = np.nan
+    bad = SamplePath(grid, vals)
+    assert math.isnan(norm_holder(bad, 0.7))
+    assert math.isnan(norm_alpha_1(bad, ALPHA))

@@ -34,14 +34,14 @@ def dense_increment_integrals(values, kappa, h, delta, start):
     return out
 
 
-def per_anchor_sweep(vals, alpha, h, c, signed):
-    """One path, one anchor at a time: the loop the batched sweep replaced."""
+def per_anchor_maxima(vals, alpha, h, c, signed, skip=0):
+    """One path, one anchor at a time: each anchor's max over its lags past skip."""
     vals = vals.reshape(len(vals), -1)
     N = len(vals) - 1
     inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
     P, Q = hat_weights(2.0 - alpha, h, N)
-    sups = np.empty(N)
-    for i in range(N):
+    sups = np.empty(max(N - skip, 0))
+    for i in range(N - skip):
         L = N - i
         diff = vals[i + 1 :] - vals[i]
         psi = diff[:, 0] if signed else np.sqrt(np.sum(diff * diff, axis=1))
@@ -50,8 +50,13 @@ def per_anchor_sweep(vals, alpha, h, c, signed):
         K = np.cumsum(cells)
         np.multiply(psi, inv_denom[:L], out=psi)
         psi += c * K
-        sups[i] = np.max(np.abs(psi))
-    return np.max(sups, initial=0.0)
+        sups[i] = np.max(np.abs(psi[skip:]))
+    return sups
+
+
+def per_anchor_sweep(vals, alpha, h, c, signed):
+    """The loop the batched sweep replaced."""
+    return np.max(per_anchor_maxima(vals, alpha, h, c, signed), initial=0.0)
 
 
 def dense_forward_matrix(values, kappa, h):
@@ -242,6 +247,110 @@ def test_anchored_sweep_equals_the_per_anchor_loop(monkeypatch, dim, signed):
         got = anchored_sweep(rows, ALPHA, 1.0 / n, c, signed=signed)
         ref = [per_anchor_sweep(r, ALPHA, 1.0 / n, c, signed) for r in rows]
         assert np.array_equal(got, ref), (n, rows_per_block)
+
+
+def lag_sweep(values, alpha, h, c, signed):
+    """Every lag over every anchor: the sweep the pruned anchored sups must equal."""
+    rows, batch = _singular._as_rows(values)
+    N = rows.shape[-1] - 1
+    inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
+    best = np.zeros(len(rows))
+    for L, psi, K in _singular._forward_lags(rows, 2.0 - alpha, h, signed):
+        val = K * c
+        val += psi * inv_denom[L - 1]
+        np.maximum(best, np.abs(val, out=val).max(axis=1), out=best)
+    return best.reshape(batch)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(2, 90), st.sampled_from([1, 2, 3])),
+    kind=st.sampled_from(["walk", "constant", "alternating", "spike-first", "spike-last"]),
+    poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_pruned_anchored_sweep_equals_the_lag_sweep(shape, kind, poison, signed, seed, data):
+    n_rows, n_nodes, d = shape
+    if signed:
+        d = 1
+    rows = np.random.default_rng(seed).standard_normal((n_rows, n_nodes, d)).cumsum(axis=1)
+    if kind == "constant":
+        rows[:] = rows[:, :1]
+    elif kind == "alternating":  # loose bounds everywhere: nothing prunes
+        rows *= np.where(np.arange(n_nodes) % 2, 1.0, -1.0)[:, None] / np.abs(rows)
+    elif kind == "spike-first":  # the sup sits at the first anchor
+        rows[:, 0] += 50.0
+    elif kind == "spike-last":  # ... or at the last pair
+        rows[:, -1] += 50.0
+    if poison is not None:
+        rows[data.draw(st.integers(0, n_rows - 1)), data.draw(st.integers(0, n_nodes - 1))] = poison
+    h = 1.0 / n_nodes
+    c = (1.0 - ALPHA) if signed else data.draw(st.sampled_from([0.0, 1.0]))
+    # short rows prune too, and blocks hold from one row to all of them; an
+    # inf row makes inf - inf in the lag sweep
+    with mock.patch.object(_singular, "_ANCHORED_MIN_NODES", 2), \
+            mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * rows.nbytes))), \
+            np.errstate(invalid="ignore"):
+        want = lag_sweep(rows, ALPHA, h, c, signed)
+        got = anchored_sweep(rows, ALPHA, h, c, signed)
+    assert got.shape == (n_rows,)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_nodes=st.integers(2, 120),
+    d=st.sampled_from([1, 2, 3]),
+    kind=st.sampled_from(["walk", "spike", "knee", "alternating"]),
+    c=st.sampled_from([0.0, 1.0 - ALPHA, 1.0, 1000.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_anchored_bounds_dominate_every_anchor(n_nodes, d, kind, c, seed, data):
+    # each anchor's own tail must stay under its bound, not only the row's max:
+    # a spike at lag 15 is weighted by P at lag 16 (the box's extra node), and
+    # a ramp whose knee is a piece's first lag puts the max there (the piece's
+    # largest (t-s)^(alpha-1))
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_nodes, d)).cumsum(axis=0)
+    at = data.draw(st.integers(0, n_nodes - 1))
+    if kind == "spike":
+        rows = np.zeros((n_nodes, d))
+        rows[at] = 50.0
+    elif kind == "knee":
+        rows = np.minimum(np.arange(n_nodes), at)[:, None] * rng.standard_normal(d)
+    elif kind == "alternating":
+        rows = np.where(np.arange(n_nodes) % 2, 1.0, -1.0)[:, None] * np.ones(d)
+    signed = d == 1 and data.draw(st.booleans())
+    v = rows[None, :, 0] if d == 1 else np.ascontiguousarray(rows.T)[None]
+    h, N = 1.0 / n_nodes, n_nodes - 1
+    H = min(_singular._HEAD_LAGS, N)
+    inv_denom = (np.arange(1, N + 1) * h) ** (ALPHA - 1.0)
+    P, Q = hat_weights(2.0 - ALPHA, h, N)
+    _best, K_head = _singular._swept_max(v, inv_denom, ALPHA, h, c, signed, last=H)
+    bound = _singular._anchored_bounds(v, K_head, inv_denom, P, Q, c, H)
+    assert np.all(bound[0] >= per_anchor_maxima(rows, ALPHA, h, c, signed, skip=H))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pruned_anchored_sweeps_of_long_paths_sum_few_anchors(monkeypatch, dim):
+    grid, rows = fbm_rows(3, n=2048, dim=dim)
+    summed = []
+
+    def counted(*args):
+        summed.append(len(args[-2]))  # the anchors s of one round
+        return tails(*args)
+
+    tails = _singular._anchored_tails
+    monkeypatch.setattr(_singular, "_anchored_tails", counted)
+    comps = np.moveaxis(rows, -1, -2)[..., None]  # lambda_alpha's signed scalar rows
+    for values, c, signed in [(comps, 1.0 - ALPHA, True), (rows, 1.0, False)]:
+        summed.clear()
+        got = anchored_sweep(values, ALPHA, grid.h, c, signed)
+        assert np.array_equal(got, lag_sweep(values, ALPHA, grid.h, c, signed))
+        assert sum(summed) < 0.01 * got.size * grid.n_main
 
 
 @pytest.mark.parametrize("n", [2, 3, 48])
