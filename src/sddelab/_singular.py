@@ -16,7 +16,9 @@ it lets the sups bound whole pieces of lags by the path's range over them
 (_piece_boxes, one table of running extrema for every pruned sup): a sup
 over nodes (backward_increment_sups) or over anchored pairs
 (anchored_sweep) sums exactly only the nodes or anchors whose bound can
-reach it, and equals the full sweep's sup bit for bit.
+reach it (_raise_to_exact, which takes each row's largest bounds a round
+at a time and sorts none), and equals the full sweep's sup bit for bit,
+since a max does not depend on the order of its visits.
 """
 from __future__ import annotations
 
@@ -51,6 +53,9 @@ _HEAD_LAGS = 15
 _SPLIT = 2
 _PRUNE_MIN_NODES = 160
 _ANCHORED_MIN_NODES = 64
+#: _raise_to_exact finds a row's k largest bounds by k passes of argmax
+#: below this k, by one argpartition from it on
+_ARGMAX_PASSES = 8
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
 
@@ -267,33 +272,47 @@ def _margin(bound: np.ndarray, m: int) -> np.ndarray:
 def _raise_to_exact(best, bound, exact, row_bytes):
     """Raise best[r] to the exact values of every node whose bound exceeds it.
 
-    bound[r, k] dominates the value exact(r, k) of node k of row r, for
-    arrays of rows r and nodes k.  Each row's nodes are visited in
-    decreasing bound order, in rounds of doubling size, until no bound
-    left in the row exceeds its best; best is updated in place.
+    bound[r, k] (no NaN) dominates the value exact(r, k) of node k of row
+    r, for arrays of rows r and nodes k.  Each round takes the k largest
+    bounds left in every live row (_take_largest), sums those that exceed
+    the row's best, and retires the rows in which no bound left exceeds
+    their best; k doubles up to the _BLOCK_BYTES cap.  So a round costs
+    O(live rows x nodes) and sorts nothing.  best, a max, is updated in
+    place and does not depend on the order of the visits.
     """
-    n_rows = len(best)
-    cr, cj = np.nonzero(bound > best[:, None])
-    cb = bound[cr, cj]
-    by = np.lexsort((-cb, cr))
-    cr, cj, cb = cr[by], cj[by], cb[by]
-    first = np.searchsorted(cr, np.arange(n_rows))
-    end = np.searchsorted(cr, np.arange(n_rows), side="right")
-    pos, k = 0, 1
-    while True:
-        live = np.flatnonzero(first + pos < end)
-        live = live[cb[first[live] + pos] > best[live]]
-        if len(live) == 0:
-            return
-        at = first[live, None] + pos + np.arange(k)
-        inside = at < end[live, None]
-        at = np.where(inside, at, first[live, None] + pos)
-        rl, c = np.nonzero(inside & (cb[at] > best[live, None]))
-        vals = np.full(at.shape, -np.inf)
-        vals[rl, c] = exact(live[rl], cj[at[rl, c]])
+    n = bound.shape[1]
+    live = np.flatnonzero(bound.max(axis=1, initial=-np.inf) > best)
+    left, k = bound[live], 1  # the live rows' bounds, the spent ones -inf
+    while len(live):
+        top, top_bound = _take_largest(left, min(k, n))
+        rl, c = np.nonzero(top_bound > best[live, None])
+        vals = np.full(top.shape, -np.inf)
+        vals[rl, c] = exact(live[rl], top[rl, c])
         best[live] = np.maximum(best[live], vals.max(axis=1))
-        pos += k
         k = min(2 * k, max(1, _BLOCK_BYTES // (4 * row_bytes * len(live))))
+        keep = left.max(axis=1) > best[live]
+        if not keep.all():
+            live, left = live[keep], left[keep]
+
+
+def _take_largest(left, k):
+    """(columns, values) of the k largest entries of each row of left; spends them (-inf) in place.
+
+    Below _ARGMAX_PASSES, k passes of argmax cost less than one argpartition.
+    """
+    if k >= _ARGMAX_PASSES:
+        top = np.argpartition(left, -k, axis=1)[:, -k:]
+        top_bound = np.take_along_axis(left, top, axis=1)
+        np.put_along_axis(left, top, -np.inf, axis=1)
+        return top, top_bound
+    rows = np.arange(len(left))
+    top = np.empty((len(left), k), dtype=np.intp)
+    top_bound = np.empty((len(left), k))
+    for i in range(k):
+        top[:, i] = j = left.argmax(axis=1)
+        top_bound[:, i] = left[rows, j]
+        left[rows, j] = -np.inf
+    return top, top_bound
 
 
 def _pruned_sups(v, lev, w, kappa, h, delta):
@@ -306,9 +325,9 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
        dev is the largest distance from f(t_j) to the piece's box.  The
        bound on I gets a rounding margin, so that a plus it dominates the
        computed a + I.
-    3. The other nodes are summed exactly in decreasing bound order
-       (_raise_to_exact, _continued) until no bound left in a row exceeds
-       its best exact value.
+    3. The other nodes are summed exactly (_raise_to_exact, _continued),
+       each row's largest bounds first, in rounds of doubling size, until
+       no bound left in a row exceeds its best exact value.
 
     overflow flags rows whose bound is not finite.
     """
@@ -470,9 +489,10 @@ def _pruned_anchored(v, inv_denom, alpha, h, c, signed):
        values by dev (t - s)^(alpha-1) at its first lag plus
        c (|K_H| + the running sum of mass dev), and the anchor's bound is
        the largest of these, with a rounding margin.
-    3. The anchors are then summed exactly in decreasing bound order
-       (_raise_to_exact, _anchored_tails) until no bound left in a row
-       exceeds its best exact value.
+    3. The anchors are then summed exactly (_raise_to_exact,
+       _anchored_tails), each row's largest bounds first, in rounds of
+       doubling size, until no bound left in a row exceeds its best exact
+       value.
 
     overflow flags rows whose head max or bound is not finite.
     """

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -353,6 +354,23 @@ def _write_csv_text(path: SamplePath, fh) -> None:
         fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _bad_row(lines, width: int) -> str:
+    """Describe the first data line that is not width comma-separated numbers."""
+    for number, line in enumerate(lines, start=2):
+        text = line.split("#")[0]  # loadtxt's comments and blank lines hold no row
+        if not text.strip():
+            continue
+        fields = text.split(",")
+        if len(fields) != width:
+            return f"path CSV line {number} has {len(fields)} fields, its header {width}"
+        for field in fields:
+            try:
+                float(field)
+            except ValueError:
+                return f"path CSV line {number} holds a non-numeric field {field.strip()!r}"
+    return "path CSV holds a malformed row"
+
+
 def read_path_csv(file) -> SamplePath:
     """Read a path CSV and rebuild its grid.
 
@@ -370,11 +388,19 @@ def read_path_csv(file) -> SamplePath:
             c != f"x_{i + 1}" for i, c in enumerate(cols[1:])
         ) or len(cols) < 2:
             raise GridError(f"bad path CSV header: {header!r}")
-        data = np.loadtxt(file, delimiter=",", ndmin=2)
+        body = file.tell() if file.seekable() else None  # a pipe is read once
+        try:
+            with warnings.catch_warnings():  # a header-only file fails below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(file, delimiter=",", ndmin=2)
+        except ValueError:
+            if body is not None:
+                file.seek(body)
+            raise GridError(_bad_row(() if body is None else file, len(cols))) from None
     finally:
         if close:
             file.close()
-    if data.shape[1] != len(cols):
+    if len(data) and data.shape[1] != len(cols):
         raise GridError("path CSV rows do not match header width")
     if not np.isfinite(data).all():
         raise GridError("path CSV holds a non-finite value")

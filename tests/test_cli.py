@@ -186,6 +186,17 @@ def test_norms_rejects_a_non_finite_input_path(tmp_path, capsys, token):
     assert not (out / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("body", ["", "0,1\n0.5,2,7\n1,3\n", "0,1\n0.5,abc\n1,3\n"])
+def test_norms_rejects_a_malformed_input_csv_with_exit_1(tmp_path, capsys, body):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,x_1\n" + body)
+    out = tmp_path / "n"
+    assert run(["norms", "--outdir", out, "--input", bad]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: path CSV")
+    assert not (out / "norms.csv").exists()
+
+
 def test_integrate_writes_certificate(tmp_path):
     out = tmp_path / "i"
     assert run(["integrate", "--outdir", out, "--n-main", 128]) == 0

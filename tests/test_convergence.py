@@ -23,8 +23,9 @@ from sddelab import (
     rate_fit,
     solve_euler,
 )
-from sddelab import convergence
+from sddelab import _singular, convergence
 from sddelab.convergence import _SEED_CHUNK
+from sddelab.norms import alpha_infty_rows
 
 ALPHA = 0.3
 DELAYS = (0.25, 0.125, 0.0625, 0.03125)
@@ -163,6 +164,35 @@ def test_hereditary_study_equals_per_path_solves(monkeypatch):
         dist_sup = [np.max(np.abs(ref - x)) for x in paths[1:]]
         assert np.array_equal(report.dist_alpha[i], dist_alpha)
         assert np.array_equal(report.dist_sup[i], dist_sup)
+
+
+def test_pruned_study_distances_sum_few_nodes(monkeypatch):
+    # one seed chunk of converge --n-main 512 --n-seeds 30: 30 seeds x 7 delays of 513 nodes
+    batches = []
+
+    def captured(diff, *args):
+        batches.append(diff)
+        return np.zeros(diff.shape[:2])
+
+    monkeypatch.setattr(convergence, "alpha_infty_rows", captured)
+    lp_convergence_study(
+        coefficient_preset("sine"), eta_preset("constant"), FbmConfig(hurst=0.75, seed=0),
+        ALPHA, default_delays(), n_seeds=30, n_main=512,
+    )
+    (diff,) = batches
+    assert diff.shape == (30, 7, 513, 1)
+    summed = []
+
+    def counted(*args):
+        summed.append(len(args[-3]))  # the nodes j of one round
+        return continued(*args)
+
+    continued = _singular._continued
+    monkeypatch.setattr(_singular, "_continued", counted)
+    got = alpha_infty_rows(diff, ALPHA, 1.0 / 512)
+    monkeypatch.setattr(_singular, "_PRUNE_MIN_NODES", 10**9)
+    assert np.array_equal(got, alpha_infty_rows(diff, ALPHA, 1.0 / 512))
+    assert 0 < sum(summed) < 0.01 * diff[..., 0].size
 
 
 def test_monte_carlo_study_needs_enough_seeds():

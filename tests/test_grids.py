@@ -1,5 +1,6 @@
 import io
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,40 @@ def test_a_writer_failing_partway_leaves_the_earlier_file(tmp_path):
 def test_csv_rejects_bad_header():
     with pytest.raises(GridError):
         read_path_csv(io.StringIO("time,value\n0,1\n0.5,2\n1,3\n"))
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("", "needs at least 3 nodes"),
+        ("0,1\n0.5,2,7\n1,3\n", "line 3 has 3 fields, its header 2"),
+        ("0,1\n\n0.5\n1,3\n", "line 4 has 1 fields, its header 2"),
+        ("0,1\n0.5,abc\n1,3\n", "line 3 holds a non-numeric field 'abc'"),
+    ],
+)
+def test_csv_rejects_a_malformed_body_with_a_grid_error(body, message):
+    # no numpy warning or bare ValueError escapes, and the message names the CSV fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match=message) as caught:
+            read_path_csv(io.StringIO("t,x_1\n" + body))
+    assert "usecols" not in str(caught.value) and "float64" not in str(caught.value)
+
+
+class PipeText(io.StringIO):
+    """Text that can be read only once, like a pipe."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("not seekable")
+
+
+def test_csv_reads_a_stream_it_cannot_seek():
+    assert read_path_csv(PipeText("t,x_1\n0,1\n0.5,2\n1,3\n")).values.shape == (3, 1)
+    with pytest.raises(GridError, match="path CSV holds a malformed row"):
+        read_path_csv(PipeText("t,x_1\n0,1\n0.5,abc\n1,3\n"))
 
 
 @pytest.mark.parametrize("t0", [1e-17, -1e-17, 1e-12, -1e-12])

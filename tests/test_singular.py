@@ -236,6 +236,51 @@ def test_pruned_sups_of_long_paths_sum_few_nodes(monkeypatch, dim, delta, start)
     assert sum(summed) < 0.05 * rows.shape[0] * (grid.n_nodes - start)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 40)),
+    row_bytes=st.sampled_from([1, 64, _singular._BLOCK_BYTES]),
+    data=st.data(),
+)
+def test_raise_to_exact_sums_once_each_node_that_can_beat_the_best(shape, row_bytes, data):
+    # few levels, so bounds tie each other and the best; row_bytes 1 lets k
+    # outgrow a row at once, _BLOCK_BYTES holds it at 1 node a round
+    n_rows, n = shape
+
+    def table(elements):
+        return np.array(data.draw(st.lists(
+            st.lists(elements, min_size=n, max_size=n), min_size=n_rows, max_size=n_rows
+        )), dtype=float)
+
+    exact = table(st.integers(0, 4))
+    bound = exact + table(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 3.0, 5.5]))
+    overflow = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+    bound[overflow] = -np.inf  # exact values there may be anything
+    best0 = np.array(data.draw(st.lists(
+        st.sampled_from([-np.inf, 0.0, 2.0, 3.5, 9.0]), min_size=n_rows, max_size=n_rows
+    )))
+    best, visits = best0.copy(), []
+
+    def evaluate(r, k):
+        # best holds the round's starting values until the round's exact sums return
+        assert np.all(bound[r, k] > best[r])
+        nodes = list(zip(r.tolist(), k.tolist()))
+        assert len(set(nodes)) == len(nodes) and not set(nodes) & set(visits)
+        visits.extend(nodes)
+        for row in set(r.tolist()):  # a row's largest bounds go first
+            rest = np.ones(n, bool)
+            rest[[j for i, j in visits if i == row]] = False
+            assert bound[row, k[r == row]].min() >= bound[row, rest].max(initial=-np.inf)
+        return exact[r, k]
+
+    _singular._raise_to_exact(best, bound.copy(), evaluate, row_bytes)
+    want = np.where(overflow, best0, np.maximum(best0, exact.max(axis=1)))
+    assert np.array_equal(best, want)
+    idle = overflow | (bound.max(axis=1) <= best0)
+    assert not any(idle[r] for r, _ in visits)
+    assert set(zip(*np.nonzero(bound > best[:, None]))) <= set(visits)
+
+
 @pytest.mark.parametrize("dim,signed", [(1, True), (1, False), (2, False)])
 def test_anchored_sweep_equals_the_per_anchor_loop(monkeypatch, dim, signed):
     c = 1.0 - ALPHA if signed else 1.0
