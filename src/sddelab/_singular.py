@@ -53,9 +53,6 @@ _HEAD_LAGS = 15
 _SPLIT = 2
 _PRUNE_MIN_NODES = 160
 _ANCHORED_MIN_NODES = 64
-#: _raise_to_exact finds a row's k largest bounds by k passes of argmax
-#: below this k, by one argpartition from it on
-_ARGMAX_PASSES = 8
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
 
@@ -276,9 +273,10 @@ def _raise_to_exact(best, bound, exact, row_bytes):
     r, for arrays of rows r and nodes k.  Each round takes the k largest
     bounds left in every live row (_take_largest), sums those that exceed
     the row's best, and retires the rows in which no bound left exceeds
-    their best; k doubles up to the _BLOCK_BYTES cap.  So a round costs
-    O(live rows x nodes) and sorts nothing.  best, a max, is updated in
-    place and does not depend on the order of the visits.
+    their best; k doubles up to the _BLOCK_BYTES cap.  A round sorts
+    nothing: its k argmax passes cost O(k x live rows x nodes), the order
+    of the round's exact sums.  best, a max, is updated in place and does
+    not depend on the order of the visits.
     """
     n = bound.shape[1]
     live = np.flatnonzero(bound.max(axis=1, initial=-np.inf) > best)
@@ -296,15 +294,8 @@ def _raise_to_exact(best, bound, exact, row_bytes):
 
 
 def _take_largest(left, k):
-    """(columns, values) of the k largest entries of each row of left; spends them (-inf) in place.
-
-    Below _ARGMAX_PASSES, k passes of argmax cost less than one argpartition.
-    """
-    if k >= _ARGMAX_PASSES:
-        top = np.argpartition(left, -k, axis=1)[:, -k:]
-        top_bound = np.take_along_axis(left, top, axis=1)
-        np.put_along_axis(left, top, -np.inf, axis=1)
-        return top, top_bound
+    """(columns, values) of the k largest entries of each row of left, by k
+    passes of argmax; spends them (-inf) in place."""
     rows = np.arange(len(left))
     top = np.empty((len(left), k), dtype=np.intp)
     top_bound = np.empty((len(left), k))

@@ -354,23 +354,6 @@ def _write_csv_text(path: SamplePath, fh) -> None:
         fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _bad_row(lines, width: int) -> str:
-    """Describe the first data line that is not width comma-separated numbers."""
-    for number, line in enumerate(lines, start=2):
-        text = line.split("#")[0]  # loadtxt's comments and blank lines hold no row
-        if not text.strip():
-            continue
-        fields = text.split(",")
-        if len(fields) != width:
-            return f"path CSV line {number} has {len(fields)} fields, its header {width}"
-        for field in fields:
-            try:
-                float(field)
-            except ValueError:
-                return f"path CSV line {number} holds a non-numeric field {field.strip()!r}"
-    return "path CSV holds a malformed row"
-
-
 def read_path_csv(file) -> SamplePath:
     """Read a path CSV and rebuild its grid.
 
@@ -388,15 +371,12 @@ def read_path_csv(file) -> SamplePath:
             c != f"x_{i + 1}" for i, c in enumerate(cols[1:])
         ) or len(cols) < 2:
             raise GridError(f"bad path CSV header: {header!r}")
-        body = file.tell() if file.seekable() else None  # a pipe is read once
         try:
             with warnings.catch_warnings():  # a header-only file fails below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(file, delimiter=",", ndmin=2)
-        except ValueError:
-            if body is not None:
-                file.seek(body)
-            raise GridError(_bad_row(() if body is None else file, len(cols))) from None
+        except ValueError:  # ragged rows or a non-numeric field
+            raise GridError("path CSV holds a malformed row") from None
     finally:
         if close:
             file.close()
