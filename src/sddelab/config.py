@@ -253,8 +253,9 @@ def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
     if subcommand == "converge":
         _require(cfg["n_seeds"] >= 30, f"n_seeds must be >= 30, got {cfg['n_seeds']}")
         _require(
-            1 <= cfg["k_min"] <= cfg["k_max"],
-            f"need 1 <= k_min <= k_max, got k_min={cfg['k_min']}, k_max={cfg['k_max']}",
+            1 <= cfg["k_min"] and cfg["k_max"] - cfg["k_min"] >= 3,
+            "need 1 <= k_min and k_max >= k_min + 3 (the rate fit takes at least "
+            f"4 delays), got k_min={cfg['k_min']}, k_max={cfg['k_max']}",
         )
         _require(
             cfg["n_main"] % (1 << cfg["k_max"]) == 0,

@@ -3,9 +3,12 @@
 Two generators with the same law on the grid: a dense Cholesky factor of
 the stationary increment covariance (gold standard, cost O(n^3) once per
 (hurst, n)) and a circulant embedding of the increment autocovariance
-(O(n log n) per path).  Variates come from a counter-based Philox stream
-keyed by (seed, purpose, path index, component), so any path can be
-regenerated in isolation.
+(O(n log n) per draw).  One circulant draw yields two independent paths,
+its real and imaginary parts (Wood & Chan 1994): a batch uses both, so
+its cost is O(n log n) per pair of paths, while `generate_fbm` keeps the
+real part of one draw per component.  Variates come from a
+counter-based Philox stream keyed by (seed, purpose, path index,
+component), so any path can be regenerated in isolation.
 
 Paths are produced on the main segment [0, T] with W(0) = 0 and extended
 by the constant 0 over the history segment [-r, 0].
@@ -121,34 +124,39 @@ def _sample_paths(hurst: float, n: int, method: str, h: float,
                   rng: np.random.Generator, count: int) -> np.ndarray:
     """count paths of n steps of size h from rng, shape (count, n+1), W(0) = 0.
 
-    Circulant paths take, per row, 2n real then 2n imaginary variates, so
-    a batch is the rows' sequential draws and its row blocks only bound
-    memory.  Cholesky blocks draw (n, take) variates.
+    Circulant paths come in pairs: draw i takes 2n real then 2n imaginary
+    variates, and the real and imaginary parts of its transform are two
+    independent exact paths, 2i and 2i+1 (the last imaginary part is
+    dropped when count is odd).  A batch is the pairs' sequential
+    draws, so its first k paths are the k-path batch, and its row blocks
+    of whole pairs only bound memory.  Cholesky blocks draw (n, take)
+    variates.
     """
     out = np.empty((count, n + 1))
     out[:, 0] = 0.0
     scale = h ** hurst
     if method == "exact-cholesky":
         L = _cholesky_factor(hurst, n)
-        blocks = [slice(lo, lo + _CHOLESKY_BLOCK) for lo in range(0, count, _CHOLESKY_BLOCK)]
-    else:
-        m = 2 * n
-        root = np.sqrt(_circulant_eigenvalues(hurst, n))
-        blocks = _row_blocks(count, 2 * m * 8)
-    for blk in blocks:
-        dest = out[blk, 1:]
-        if method == "exact-cholesky":
-            incr = (L @ rng.standard_normal((n, len(dest)))).T
-        else:
-            g = rng.standard_normal((len(dest), 2, m))
-            z = np.empty((len(dest), m), dtype=complex)
-            z.real, z.imag = g[:, 0], g[:, 1]
-            z *= root
-            z = np.fft.ifft(z, axis=-1)
-            z *= np.sqrt(m)
-            incr = z.real[:, :n]
-        np.cumsum(incr, axis=1, out=dest)
-        dest *= scale
+        for lo in range(0, count, _CHOLESKY_BLOCK):
+            dest = out[lo:lo + _CHOLESKY_BLOCK, 1:]
+            np.cumsum((L @ rng.standard_normal((n, len(dest)))).T, axis=1, out=dest)
+            dest *= scale
+        return out
+    m = 2 * n
+    root = np.sqrt(_circulant_eigenvalues(hurst, n))
+    pairs = (count + 1) // 2
+    for blk in _row_blocks(pairs, 2 * m * 8):
+        lo, hi = blk.start, min(blk.stop, pairs)
+        g = rng.standard_normal((hi - lo, 2, m))
+        z = np.empty((hi - lo, m), dtype=complex)
+        z.real, z.imag = g[:, 0], g[:, 1]
+        z *= root
+        z = np.fft.ifft(z, axis=-1)
+        z *= np.sqrt(m)
+        even, odd = out[2 * lo:2 * hi:2, 1:], out[2 * lo + 1:2 * hi:2, 1:]
+        np.cumsum(z.real[:, :n], axis=1, out=even)
+        np.cumsum(z.imag[:len(odd), :n], axis=1, out=odd)
+        out[2 * lo:2 * hi, 1:] *= scale
     return out
 
 
@@ -178,9 +186,12 @@ def sample_fbm_batch(
 
     Drawn from one keyed stream per (seed, component), without per-path
     addressability; meant for distributional tests.  Circulant paths are
-    drawn row after row, so the first k rows of a batch are the k-path
-    batch; the work runs in row blocks of about half a megabyte of
-    variates, each one batched FFT and one cumsum into the result.
+    drawn a pair at a time: draw i's real part is row 2i and its
+    imaginary part row 2i+1, two independent paths of the same law (an
+    odd count drops the last imaginary part).  The draws follow one
+    another, so the first k rows of a batch are the k-path batch; the
+    work runs in blocks of whole pairs holding about half a megabyte of
+    variates, each one batched FFT and two cumsums into the result.
     exact-cholesky draws blocks of 16,384 paths at a time.
     """
     rng = keyed_generator(cfg.seed, PURPOSE_FBM, component)

@@ -2,7 +2,7 @@
 
 Each test is self-contained and deterministic; `pytest -v` prints one
 pass/fail line per criterion.  The slow entries are criterion 1 (three
-100k-path driver batches, ~10 s) and criterion 7 (two full Monte Carlo
+100k-path driver batches, ~5 s) and criterion 7 (two full Monte Carlo
 delay studies, ~2 min).
 """
 
@@ -49,7 +49,8 @@ HURST = 0.75
 
 def test_criterion_1_driver_covariance_matches_the_law():
     # empirical second moments of 100k paths vs the closed-form covariance,
-    # on a 5x5 time lattice, within 3 standard errors entrywise
+    # on a 5x5 time lattice, within 3 standard errors entrywise; the two
+    # paths of each circulant draw (rows 2i and 2i+1) must be uncorrelated
     N = 100_000
     idx = np.array([32, 64, 128, 192, 256])
     times = idx / 256.0
@@ -64,6 +65,10 @@ def test_criterion_1_driver_covariance_matches_the_law():
         se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C**2) / N)
         z = np.abs(C_hat - C) / se
         assert np.max(z) <= 3.0, f"H={hurst}: covariance off by {np.max(z):.2f} SE"
+        # Var(X_s Y_t) = C_ss C_tt for independent X, Y
+        cross = V[0::2].T @ V[1::2] / (N // 2)
+        z = np.abs(cross) / np.sqrt(np.outer(np.diag(C), np.diag(C)) / (N // 2))
+        assert np.max(z) <= 3.0, f"H={hurst}: paired paths correlated at {np.max(z):.2f} SE"
 
 
 def test_criterion_2_norm_functionals_hit_their_oracles():

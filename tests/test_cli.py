@@ -95,6 +95,26 @@ def test_converge_requires_step_aligned_delays():
         resolve_config("converge", None, {"n_main": "100", "k_max": "5"})
 
 
+def test_converge_with_fewer_than_four_delays_is_refused_up_front(capsys, tmp_path):
+    # k = 2..4 gives three delays and the rate fit takes four: refuse before the study
+    out = tmp_path / "c"
+    assert run(["converge", "--outdir", out, "--n-main", 16, "--n-seeds", 30,
+                "--k-max", 4]) == 2
+    assert "k_max >= k_min + 3" in capsys.readouterr().err
+    assert not out.exists()
+    # rerun refuses a recorded three-delay run through the same check
+    assert run(["converge", "--outdir", out, "--n-main", 16, "--n-seeds", 30,
+                "--k-min", 1, "--k-max", 4]) == 0
+    manifest = out / "manifest.jsonl"
+    line = json.loads(manifest.read_text())
+    line["config"]["k_min"] = 2
+    manifest.write_text(json.dumps(line) + "\n")
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", out, "--outdir", tmp_path / "again"]) == 2
+    assert "k_max >= k_min + 3" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
+
+
 def test_off_grid_delay_is_a_config_error(capsys, tmp_path):
     code = run(["solve", "--r", "0.3", "--n-main", "256", "--outdir", tmp_path / "x"])
     assert code == 2

@@ -121,28 +121,47 @@ def test_circulant_embedding_is_nonnegative_definite():
             assert np.array_equal(fbm_module._circulant_eigenvalues(hurst, n), eig)
 
 
-def per_path_circulant(grid, cfg, count, component=0):
-    """One ifft per path, drawing u then v from the batch stream."""
+def per_pair_circulant(grid, cfg, count, component=0):
+    """One ifft per pair, drawing u then v from the batch stream: Re is row 2i, Im row 2i+1."""
     n, m = grid.n_main, 2 * grid.n_main
     rng = keyed_generator(cfg.seed, fbm_module.PURPOSE_FBM, component)
     scale = np.sqrt(fbm_module._circulant_eigenvalues(cfg.hurst, n))
-    out = np.zeros((count, n + 1))
-    for i in range(count):
+    out = np.zeros((count + 1, n + 1))
+    for i in range((count + 1) // 2):
         u = rng.standard_normal(m)
         v = rng.standard_normal(m)
         z = np.fft.ifft(scale * (u + 1j * v)) * np.sqrt(m)
-        out[i, 1:] = np.cumsum(z.real[:n]) * grid.h ** cfg.hurst
-    return out
+        out[2 * i, 1:] = np.cumsum(z.real[:n]) * grid.h ** cfg.hurst
+        out[2 * i + 1, 1:] = np.cumsum(z.imag[:n]) * grid.h ** cfg.hurst
+    return out[:count]
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.75])
-def test_circulant_batch_equals_per_path_draws_across_row_blocks(monkeypatch, hurst):
+def test_circulant_batch_equals_per_pair_draws_across_row_blocks(monkeypatch, hurst):
     grid = make_grid(1.0, 48)
     cfg = FbmConfig(hurst=hurst, seed=6)
-    # three paths of 2 x 96 variates per block: blocks of 3, 3, 3 and 1 rows
-    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 3 * 2 * 96 * 8)
-    batch = sample_fbm_batch(grid, cfg, 10, component=1)
-    assert np.array_equal(batch, per_path_circulant(grid, cfg, 10, component=1))
+    # two pairs of 2 x 96 variates per block: 9 and 10 paths take blocks of
+    # 2, 2 and 1 pairs, 11 paths 2, 2 and 2 pairs with the last Im dropped
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 2 * 2 * 96 * 8)
+    for count in (1, 2, 9, 10, 11):
+        batch = sample_fbm_batch(grid, cfg, count, component=1)
+        assert np.array_equal(batch, per_pair_circulant(grid, cfg, count, component=1)), count
+
+
+def test_generate_fbm_is_the_real_part_of_one_draw_per_component():
+    grid = make_grid(1.0, 64, 0.25)
+    cfg = FbmConfig(hurst=0.75, dim=2, seed=9)
+    path = generate_fbm(grid, cfg, index=3)
+    n, m, zero = grid.n_main, 2 * grid.n_main, grid.index_of_zero
+    scale = np.sqrt(fbm_module._circulant_eigenvalues(cfg.hurst, n))
+    assert np.array_equal(path.values[:zero + 1], np.zeros((zero + 1, 2)))
+    for c in range(cfg.dim):
+        rng = keyed_generator(cfg.seed, fbm_module.PURPOSE_FBM, 3, c)
+        u = rng.standard_normal(m)
+        v = rng.standard_normal(m)
+        z = np.fft.ifft(scale * (u + 1j * v)) * np.sqrt(m)
+        expect = np.cumsum(z.real[:n]) * grid.h ** cfg.hurst
+        assert np.array_equal(path.values[zero + 1:, c], expect), c
 
 
 def test_batch_rows_are_a_prefix_of_a_larger_batch(monkeypatch):
