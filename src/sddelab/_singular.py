@@ -13,12 +13,13 @@ every discrete integral is a nonnegative combination of nodal phi values.
 That makes nodewise inequalities between integrands carry over to the
 discrete integrals exactly, which the bound-checking modules rely on, and
 it lets the sups bound whole pieces of lags by the path's range over them
-(_piece_boxes, one table of running extrema for every pruned sup): a sup
-over nodes (backward_increment_sups) or over anchored pairs
-(anchored_sweep) sums exactly only the nodes or anchors whose bound can
-reach it (_raise_to_exact, which takes each row's largest bounds a round
-at a time and sorts none), and equals the full sweep's sup bit for bit,
-since a max does not depend on the order of its visits.
+(_piece_boxes).  The sups over nodes (backward_increment_sups), anchored
+pairs (anchored_sweep) and lags (holder_seminorm) share one skeleton,
+_certified_sups: an exact head, certified bounds on the rest, exact
+values only where a bound can reach the sup (_raise_to_exact, which sorts
+nothing), and the full sweep for rows with a non-finite entry or bound.
+Each equals its full sweep bit for bit, since a max does not depend on
+the order of its visits.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ __all__ = [
     "backward_increment_integrals",
     "backward_increment_sups",
     "anchored_sweep",
+    "holder_seminorm",
+    "lag_sups",
     "backward_profile_integrals",
     "iterated_increment_integrals",
     "cumulative_from_zero",
@@ -44,11 +47,10 @@ SLACK_REL = 1e-6
 #: per block follow from the row length
 _BLOCK_BYTES = 1 << 19
 
-#: pruned sups (backward_increment_sups, anchored_sweep): lags
-#: 1.._HEAD_LAGS are summed at every node or anchor, each later octave of
-#: lags is bounded in 2**_SPLIT pieces, and rows of fewer nodes than
-#: _PRUNE_MIN_NODES (_ANCHORED_MIN_NODES) take the full sweep, which is
-#: faster there
+#: certified sups: lags 1.._HEAD_LAGS are reduced exactly at every node,
+#: anchor or path, each later octave of lags is bounded in 2**_SPLIT
+#: pieces, and rows of fewer nodes than _PRUNE_MIN_NODES
+#: (_ANCHORED_MIN_NODES) take the full sweep, which is faster there
 _HEAD_LAGS = 15
 _SPLIT = 2
 _PRUNE_MIN_NODES = 160
@@ -155,20 +157,29 @@ def backward_increment_integrals(
     n_lag = n_nodes - 1 - start
     if n_lag >= 1:
         P, Q = hat_weights(kappa, h, n_lag + 1)
-        # collapsed per-lag weight W[l-1] = Q[l] + P[l+1]; the farthest node
-        # of each row only carries Q, corrected after the sweep.
         W = (Q[1:-1] + P[2:]).tolist()
         for blk in _row_blocks(len(rows), rows[:1].nbytes):
-            v = rows[blk, ..., start:]
-            acc = out[blk, start:]
-            for l in range(1, n_lag + 1):
-                phi = _increment_magnitude(v[..., :-l] - v[..., l:], delta)
-                phi *= W[l - 1]
-                acc[:, l:] += phi
-            far = _increment_magnitude(v[..., 1:] - v[..., :1], delta)
-            far *= P[2:]
+            acc, far = _lag_sums(rows[blk, ..., start:], W, P, n_lag, delta)
             acc[:, 1:] -= far
+            out[blk, start:] = acc
     return out.reshape(batch + (n_nodes,))
+
+
+def _lag_sums(v, W, P, n_lag, delta):
+    """(acc, far) of the kernel's lag loop over the rows v, lags 1..n_lag.
+
+    acc[:, j] adds W[l-1] |v_j - v_(j-l)|^delta (W[l-1] = Q[l] + P[l+1])
+    lag by lag, the order _continued repeats; the farthest node carries
+    only Q, so I[j] = acc[:, j] - far[:, j-1] for j <= n_lag.
+    """
+    acc = np.zeros((len(v), v.shape[-1]))
+    for l in range(1, n_lag + 1):
+        phi = _increment_magnitude(v[..., :-l] - v[..., l:], delta)
+        phi *= W[l - 1]
+        acc[:, l:] += phi
+    far = _increment_magnitude(v[..., 1:] - v[..., :1], delta)
+    far *= P[2:]
+    return acc, far
 
 
 def backward_increment_sups(
@@ -190,31 +201,54 @@ def backward_increment_sups(
     for bit: every node that can reach the sup is summed in the kernel's
     order, and the others are left out on a certified upper bound (see
     _pruned_sups).  Rows with a non-finite entry, rows shorter than
-    _PRUNE_MIN_NODES and rows whose bound overflows take the full sweep.
+    _PRUNE_MIN_NODES and rows whose head or bound is not finite (an
+    overflow, or an inf weight) take the full sweep.
     """
     rows, batch = _as_rows(values)
     rows = rows[..., start:]
     m = rows.shape[-1]
     lev = np.zeros((len(rows), m)) if level is None else np.reshape(level, (len(rows), m))
     w = None if weights is None else np.asarray(weights, dtype=float)
-    sups = np.empty(len(rows))
-    full = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
-    if m < _PRUNE_MIN_NODES:
-        full[:] = True
-    pruned = np.flatnonzero(~full)
-    # a pruned block keeps about a dozen arrays of its size alive, so it takes
-    # a quarter of the rows a kernel block takes
-    for blk in _row_blocks(len(pruned), 4 * rows[:1].nbytes):
-        idx = pruned[blk]
-        sups[idx], overflow = _pruned_sups(rows[idx], lev[idx], w, kappa, h, delta)
-        full[idx[overflow]] = True
-    if full.any():
+
+    def swept(full):
         # through the public kernel, on the caller's layout
         sub = values if full.all() else np.reshape(values, (-1,) + np.shape(values)[-2:])[full]
         B = backward_increment_integrals(sub, kappa, h, delta, start)[..., start:]
-        B = B.reshape(-1, m) + lev[full]
-        sups[full] = np.max(_weighted(B, w), axis=-1)
-    return sups.reshape(batch)
+        return np.max(_weighted(B.reshape(-1, m) + lev[full], w), axis=-1)
+
+    def bounded(idx):
+        return _pruned_sups(rows[idx], lev[idx], w, kappa, h, delta)
+
+    return _certified_sups(rows, _PRUNE_MIN_NODES, bounded, swept).reshape(batch)
+
+
+def _certified_sups(rows, min_nodes, bounded, swept):
+    """Per row: its sup, reduced exactly only where a certified bound can reach it.
+
+    bounded(idx) -> (best, bound, exact) for a block of finite rows: best
+    is each row's max over its head, and bound the bounds on the rest that
+    _raise_to_exact needs.  A pruned block keeps about a dozen arrays of its
+    size alive, so it takes a quarter of the rows a kernel block takes.
+    Rows with a non-finite entry, shorter than min_nodes or with a
+    non-finite best or bound get swept(mask), the full sweep of rows[mask].
+    """
+    sups = np.empty(len(rows))
+    full = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+    if rows.shape[-1] < min_nodes:
+        full[:] = True
+    pruned = np.flatnonzero(~full)
+    for blk in _row_blocks(len(pruned), 4 * rows[:1].nbytes):
+        idx = pruned[blk]
+        best, bound, exact = bounded(idx)
+        overflow = ~(np.isfinite(bound).all(axis=1) & np.isfinite(best))
+        bound[overflow] = -np.inf
+        _raise_to_exact(best, bound, exact, rows[0].nbytes)
+        sups[idx] = best
+        full[idx[overflow]] = True
+        del best, bound, exact  # this block's arrays, before the next block's are made
+    if full.any():
+        sups[full] = swept(full)
+    return sups
 
 
 def _weighted(B: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -267,16 +301,16 @@ def _margin(bound: np.ndarray, m: int) -> np.ndarray:
 
 
 def _raise_to_exact(best, bound, exact, row_bytes):
-    """Raise best[r] to the exact values of every node whose bound exceeds it.
+    """Raise best[r] to the exact values of every item whose bound exceeds it.
 
-    bound[r, k] (no NaN) dominates the value exact(r, k) of node k of row
-    r, for arrays of rows r and nodes k.  Each round takes the k largest
-    bounds left in every live row (_take_largest), sums those that exceed
-    the row's best, and retires the rows in which no bound left exceeds
-    their best; k doubles up to the _BLOCK_BYTES cap.  A round sorts
-    nothing: its k argmax passes cost O(k x live rows x nodes), the order
-    of the round's exact sums.  best, a max, is updated in place and does
-    not depend on the order of the visits.
+    bound[r, k] (no NaN) dominates the value exact(r, k) of item k (a
+    node, an anchor or a lag) of row r, for arrays of rows r and items k.
+    Each round takes the k largest bounds left in every live row
+    (_take_largest), reduces those that exceed the row's best, and retires
+    the rows in which no bound left exceeds their best; k doubles up to the
+    _BLOCK_BYTES cap.  A round sorts nothing: its k argmax passes cost
+    O(k x live rows x items), the order of the round's exact sums.  best, a
+    max, is updated in place and does not depend on the order of the visits.
     """
     n = bound.shape[1]
     live = np.flatnonzero(bound.max(axis=1, initial=-np.inf) > best)
@@ -307,32 +341,22 @@ def _take_largest(left, k):
 
 
 def _pruned_sups(v, lev, w, kappa, h, delta):
-    """(sups, overflow) of backward_increment_sups for a block of finite rows.
+    """(best, bound, exact) of backward_increment_sups for a block of finite rows.
 
-    1. The lags 1..H of every node are summed as the kernel sums them, so
-       the nodes j <= H are exact.
+    1. The lags 1..H of every node are summed as the kernel sums them
+       (_lag_sums), so the nodes j <= H are exact: best is their max.
     2. The later lags come in pieces (_piece_boxes).  At node j a piece is
        bounded by its weight summed over the lags up to j, times dev^delta:
        dev is the largest distance from f(t_j) to the piece's box.  The
        bound on I gets a rounding margin, so that a plus it dominates the
-       computed a + I.
-    3. The other nodes are summed exactly (_raise_to_exact, _continued),
-       each row's largest bounds first, in rounds of doubling size, until
-       no bound left in a row exceeds its best exact value.
-
-    overflow flags rows whose bound is not finite.
+       computed a + I; bound holds it for the nodes j > H.
+    3. exact sums those nodes from lag H + 1 on (_continued).
     """
-    n_rows, m = len(v), v.shape[-1]
+    m = v.shape[-1]
     P, Q = hat_weights(kappa, h, m)
     W = Q[1:-1] + P[2:]  # W[l-1] weights lag l, as in backward_increment_integrals
     H = min(_HEAD_LAGS, m - 1)
-    acc = np.zeros((n_rows, m))
-    for l in range(1, H + 1):
-        phi = _increment_magnitude(v[..., :-l] - v[..., l:], delta)
-        phi *= W[l - 1]
-        acc[:, l:] += phi
-    far = _increment_magnitude(v[..., 1:] - v[..., :1], delta)
-    far *= P[2:]
+    acc, far = _lag_sums(v, W, P, H, delta)
     head = acc[:, : H + 1].copy()
     head[:, 1:] -= far[:, :H]
     head += lev[:, : H + 1]
@@ -347,19 +371,14 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
         bound[:, lag:] += dev
     bound = _margin(bound, m)
     bound += lev
-    overflow = ~np.isfinite(bound).all(axis=1)
     bound = _weighted(bound[:, H + 1 :], None if w is None else w[H + 1 :])
-    bound[overflow] = -np.inf
 
     # reversed rows, padded with their first value: the lags H+1.. of node j
     # read the contiguous window rev[..., m - j + H:]
     rev = np.concatenate([v[..., ::-1], np.repeat(v[..., :1], m, axis=-1)], axis=-1)
-    _raise_to_exact(
-        best, bound,
-        lambda r, k: _continued(v, rev, acc, far, lev, w, W, r, k + H + 1, H, delta),
-        v[0].nbytes,
+    return best, bound, lambda r, k: _continued(
+        v, rev, acc, far, lev, w, W, r, k + H + 1, H, delta
     )
-    return best, overflow
 
 
 def _continued(v, rev, acc, far, lev, w, W, r, j, H, delta):
@@ -370,14 +389,7 @@ def _continued(v, rev, acc, far, lev, w, W, r, j, H, delta):
     lag j into the padding, and the sum is read off at lag j.
     """
     n_lag = j.max() - H
-    windows = np.lib.stride_tricks.sliding_window_view(rev, n_lag, axis=-1)
-    if v.ndim == 2:
-        diff = windows[r, v.shape[-1] - j + H]
-        diff -= v[r, j][:, None]
-    else:
-        diff = windows[r, :, v.shape[-1] - j + H]
-        diff -= v[r, :, j][:, :, None]
-    phi = _increment_magnitude(diff, delta)
+    phi = _increment_magnitude(_windows(rev, r, v.shape[-1] - 1 - j, H + 1, n_lag), delta)
     terms = np.empty((len(j), n_lag + 1))
     terms[:, 0] = acc[r, j]
     with np.errstate(over="ignore"):  # only the lags past j can overflow
@@ -386,6 +398,17 @@ def _continued(v, rev, acc, far, lev, w, W, r, j, H, delta):
     I -= far[r, j - 1]
     I += lev[r, j]
     return _weighted(I, None if w is None else w[j])
+
+
+def _windows(padded, r, anchor, ahead, width):
+    """padded[r, ..., anchor + ahead + i] - padded[r, ..., anchor] for i < width.
+
+    A fresh (len(r), width) array, or (len(r), d, width) for vector rows.
+    """
+    view = np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
+    out = view[r, ..., anchor + ahead, :]
+    out -= padded[r, ..., anchor][..., None]
+    return out
 
 
 def _forward_lags(v: np.ndarray, kappa: float, h: float, signed: bool):
@@ -434,21 +457,17 @@ def anchored_sweep(
     rows, batch = _as_rows(values)
     if signed and rows.ndim == 3:
         raise ValueError("signed sweeps are scalar-only")
-    N = rows.shape[-1] - 1
-    sups = np.zeros(len(rows))
-    inv_denom = (np.arange(1, N + 1) * h) ** (alpha - 1.0)
-    full = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
-    if N + 1 < _ANCHORED_MIN_NODES:
-        full[:] = True
-    pruned = np.flatnonzero(~full)
-    for blk in _row_blocks(len(pruned), 4 * rows[:1].nbytes):
-        idx = pruned[blk]
-        sups[idx], overflow = _pruned_anchored(rows[idx], inv_denom, alpha, h, c, signed)
-        full[idx[overflow]] = True
-    swept = np.flatnonzero(full)
-    for blk in _row_blocks(len(swept), rows[:1].nbytes):
-        sups[swept[blk]] = _swept_max(rows[swept[blk]], inv_denom, alpha, h, c, signed)[0]
-    return sups.reshape(batch)
+    inv_denom = (np.arange(1, rows.shape[-1]) * h) ** (alpha - 1.0)
+
+    def swept(full):
+        v = rows[full]
+        blocks = _row_blocks(len(v), v[:1].nbytes)
+        return np.concatenate([_swept_max(v[b], inv_denom, alpha, h, c, signed)[0] for b in blocks])
+
+    def bounded(idx):
+        return _pruned_anchored(rows[idx], inv_denom, alpha, h, c, signed)
+
+    return _certified_sups(rows, _ANCHORED_MIN_NODES, bounded, swept).reshape(batch)
 
 
 def _swept_max(v, inv_denom, alpha, h, c, signed, last=None):
@@ -467,10 +486,10 @@ def _swept_max(v, inv_denom, alpha, h, c, signed, last=None):
 
 
 def _pruned_anchored(v, inv_denom, alpha, h, c, signed):
-    """(sups, overflow) of anchored_sweep for a block of finite rows.
+    """(best, bound, exact) of anchored_sweep for a block of finite rows.
 
     1. The lags 1..H of every anchor run through _forward_lags as the
-       sweep runs them; each anchor keeps K at lag H.
+       sweep runs them: best is their max, and each anchor keeps K at lag H.
     2. The later lags come in pieces (_piece_boxes, on the reversed rows,
        where anchor s reads its lags backwards).  Over a piece's lags
        |psi| <= dev, the largest distance from f(s) to the piece's box,
@@ -480,12 +499,7 @@ def _pruned_anchored(v, inv_denom, alpha, h, c, signed):
        values by dev (t - s)^(alpha-1) at its first lag plus
        c (|K_H| + the running sum of mass dev), and the anchor's bound is
        the largest of these, with a rounding margin.
-    3. The anchors are then summed exactly (_raise_to_exact,
-       _anchored_tails), each row's largest bounds first, in rounds of
-       doubling size, until no bound left in a row exceeds its best exact
-       value.
-
-    overflow flags rows whose head max or bound is not finite.
+    3. exact takes the anchors' maxima past lag H (_anchored_tails).
     """
     m = v.shape[-1]
     N = m - 1
@@ -493,18 +507,13 @@ def _pruned_anchored(v, inv_denom, alpha, h, c, signed):
     H = min(_HEAD_LAGS, N)
     best, K_head = _swept_max(v, inv_denom, alpha, h, c, signed, last=H)  # K of the anchors 0..N-H
     bound = _anchored_bounds(v, K_head, inv_denom, P, Q, c, H)
-    overflow = ~(np.isfinite(bound).all(axis=1) & np.isfinite(best))
-    bound[overflow] = -np.inf
 
     # rows padded with their last value: the lags H.. of anchor s read the
     # contiguous window pad[..., s + H:]
     pad = np.concatenate([v, np.repeat(v[..., -1:], m, axis=-1)], axis=-1)
-    _raise_to_exact(
-        best, bound,
-        lambda r, s: _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H),
-        v[0].nbytes,
+    return best, bound, lambda r, s: _anchored_tails(
+        v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H
     )
-    return best, overflow
 
 
 def _anchored_bounds(v, K_head, inv_denom, P, Q, c, H):
@@ -537,13 +546,7 @@ def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H):
     """
     N = v.shape[-1] - 1
     n_lag = N - H - s.min()
-    windows = np.lib.stride_tricks.sliding_window_view(pad, n_lag + 1, axis=-1)
-    if v.ndim == 2:
-        psi = windows[r, s + H]
-        psi -= v[r, s][:, None]
-    else:
-        psi = windows[r, :, s + H]
-        psi -= v[r, :, s][:, :, None]
+    psi = _windows(pad, r, s, H, n_lag + 1)
     if not signed:
         psi = _increment_magnitude(psi)
     K = np.empty((len(s), n_lag + 1))
@@ -558,6 +561,47 @@ def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H):
         np.abs(val, out=val)
     val[np.arange(n_lag) >= (N - H - s)[:, None]] = 0.0
     return val.max(axis=1)
+
+
+def lag_sups(values: np.ndarray, lags) -> np.ndarray:
+    """Largest increment magnitude |f(t + l h) - f(t)| over t, for each lag l.
+
+    values has shape (n_nodes, d); the squared magnitude is summed over the
+    components by einsum, and the root of its max is the max of the roots.
+    """
+    diffs = (values[l:] - values[:-l] for l in lags)
+    return np.sqrt([np.einsum("...i,...i->...", dv, dv).max() for dv in diffs])
+
+
+def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
+    """Largest |f(t+lh) - f(t)| / (lh)^mu over the lags l of values shaped (n_nodes, d).
+
+    The lags 1.._HEAD_LAGS are reduced exactly.  A later lag is bounded by
+    the largest distance from f(t) to its piece's box over t, over its own
+    (lh)^mu, with a rounding margin.  The result equals the every-lag max
+    bit for bit (_certified_sups), and a NaN node gives NaN.
+    """
+    n = len(values)
+    lags = np.arange(1, n)
+    denom = (lags * h) ** mu
+    rows = np.ascontiguousarray(values.T)[None]  # (1, d, n): every d is squared, as lag_sups does
+    H = min(_HEAD_LAGS, n - 1)
+
+    def ratios(part):
+        return lag_sups(values, part) / denom[part - 1]
+
+    def swept(full):
+        return np.max(ratios(lags), initial=0.0)
+
+    def bounded(idx):
+        best = np.array([np.max(ratios(lags[:H]), initial=0.0)])
+        bound = np.empty((1, n - 1 - H))
+        for lag, width, hi, lo in _piece_boxes(rows, H, n):
+            dev = _box_distance(rows, hi, lo, lag).max(axis=1)
+            bound[:, lag - 1 - H : lag - 1 - H + width] = dev / denom[lag - 1 : lag - 1 + width]
+        return best, _margin(bound, values.shape[1]), lambda r, k: ratios(lags[k + H])
+
+    return float(_certified_sups(rows, 0, bounded, swept)[0])
 
 
 def backward_profile_integrals(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:

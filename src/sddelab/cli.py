@@ -26,6 +26,7 @@ from pathlib import Path
 from . import __version__
 from .config import SCHEMAS, ConfigError, check_recorded_config, resolve_config
 from .convergence import (
+    default_delays,
     evaluate_convergence_gates,
     lp_convergence_study,
     rate_fit,
@@ -213,9 +214,7 @@ print("wrote convergence.png")
 
 
 def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
-    delays = tuple(
-        cfg["horizon"] * 2.0 ** -k for k in range(cfg["k_min"], cfg["k_max"] + 1)
-    )
+    delays = default_delays(cfg["horizon"], range(cfg["k_min"], cfg["k_max"] + 1))
     coeffs = coefficient_preset(cfg["preset"])
     eta_fn = eta_preset(cfg["eta"])
     fbm_cfg = FbmConfig(

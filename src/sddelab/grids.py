@@ -205,9 +205,6 @@ class SamplePath:
     def times(self) -> np.ndarray:
         return self.grid.times()
 
-    def component(self, i: int) -> "SamplePath":
-        return SamplePath(self.grid, self.values[:, i])
-
     def main_values(self) -> np.ndarray:
         """Values on [0, T] (read-only view)."""
         return self.values[self.grid.index_of_zero:]

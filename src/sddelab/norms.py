@@ -20,12 +20,13 @@ The family, for a path f on [-r, T] and a driver g on [0, T]:
 All integrals discretize by the product-linear rule in _singular; vector
 values enter through euclidean increment magnitudes.  Every sup is exact
 without the full sweep: the sups over nodes (norm_alpha_infty,
-norm_alpha_lambda, delta_r) and over anchored pairs (lambda_alpha,
-norm_1ma_infty_T) sum exactly only the nodes or anchors whose certified
-bound can reach the sup, and the Hoelder ratio reduces only the pieces of
-lags whose bound can; each equals the full sweep's sup bit for bit.  Only
-norm_alpha_1 needs every node and keeps the full sweep.  Gamma is a port
-of Cephes' (scipy's) Gamma, so importing the package needs no scipy.
+norm_alpha_lambda, delta_r), over anchored pairs (lambda_alpha,
+norm_1ma_infty_T) and over lags (the Hoelder ratio of norm_holder) run
+through _singular's certified sups, which reduce exactly only what a
+certified bound lets reach the sup, and each equals the full sweep's sup
+bit for bit.  Only norm_alpha_1 needs every node and keeps the full
+sweep.  Gamma is a port of Cephes' (scipy's) Gamma, so importing the
+package needs no scipy.
 """
 from __future__ import annotations
 
@@ -34,15 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._singular import (
-    _HEAD_LAGS,
-    _box_distance,
-    _margin,
-    _piece_boxes,
     anchored_sweep,
     backward_increment_integrals,
     backward_increment_sups,
     cumulative_from_zero,
     hat_weights,
+    holder_seminorm,
+    lag_sups,
 )
 from .grids import SamplePath, main_segment
 
@@ -140,54 +139,13 @@ def norm_alpha_infty(f: SamplePath, alpha: float, r: float | None = None) -> flo
     return float(alpha_infty_rows(f.values, alpha, f.grid.h, f.grid.history_start(r)))
 
 
-def _lag_sups(values: np.ndarray, lags) -> np.ndarray:
-    """Largest increment magnitude |f(t + l h) - f(t)| over t, for each lag l."""
-    return np.array([np.max(_magnitudes(values[l:] - values[:-l])) for l in lags])
-
-
-def _holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
-    """Largest |f(t+lh) - f(t)| / (lh)^mu over lags l.
-
-    The lags 1.._HEAD_LAGS are reduced exactly.  Each later piece of lags
-    (_piece_boxes) is bounded by the largest distance from f(t) to the
-    piece's box over t, over the piece's smallest (lh)^mu, with a rounding
-    margin; only the pieces whose bound beats the best so far are reduced
-    lag by lag, in decreasing bound order.  A path with a non-finite node,
-    or whose bound overflows, reduces every lag, so the result equals the
-    every-lag max bit for bit and a NaN node gives NaN.
-    """
-    lags = np.arange(1, values.shape[0])
-    denom = (lags * h) ** mu
-
-    def ratios(part):
-        return _lag_sups(values, part) / denom[part - 1]
-
-    if not np.isfinite(values).all():
-        return float(np.max(ratios(lags), initial=0.0))
-    H = min(_HEAD_LAGS, len(lags))
-    best = float(np.max(ratios(lags[:H]), initial=0.0))
-    rows = np.ascontiguousarray(values.T)[None]  # (1, d, n): every d is squared, as _magnitudes does
-    pieces, bounds = [], []
-    for lag, width, hi, lo in _piece_boxes(rows, H, values.shape[0]):
-        pieces.append(lags[lag - 1 : lag - 1 + width])
-        bounds.append(np.max(_box_distance(rows, hi, lo, lag)) / np.min(denom[pieces[-1] - 1]))
-    bounds = _margin(np.array(bounds), values.shape[1])
-    if not np.isfinite(bounds).all():
-        return float(np.max(ratios(lags), initial=0.0))
-    for k in np.argsort(-bounds, kind="stable"):
-        if not bounds[k] > best:
-            break
-        best = max(best, float(np.max(ratios(pieces[k]))))
-    return best
-
-
 def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
     """sup norm plus the Hoelder-mu increment ratio over [-r, T]."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"Hoelder exponent mu must lie in (0, 1], got {mu}")
     s0 = f.grid.history_start(r)
     vals = f.values[s0:]
-    return float(np.max(_magnitudes(vals))) + _holder_seminorm(vals, mu, f.grid.h)
+    return float(np.max(_magnitudes(vals))) + holder_seminorm(vals, mu, f.grid.h)
 
 
 def norm_alpha_lambda(
@@ -300,7 +258,7 @@ def estimate_holder_exponent(f: SamplePath) -> float:
     if not np.isfinite(f.values).all():
         raise ValueError("a node of the path is non-finite: cannot estimate exponent")
     lags = 1 << np.arange(max((f.values.shape[0] - 1) // 4, 1).bit_length())
-    sups = _lag_sups(f.values, lags)
+    sups = lag_sups(f.values, lags)
     live = sups > 0
     if np.count_nonzero(live) < 2:
         raise ValueError("path too short or constant: cannot estimate exponent")

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as Gamma
 
 import sddelab
-from sddelab import norms
+from sddelab import _singular, norms
 from sddelab.grids import TimeGrid
 from sddelab.norms import NormReport
 from sddelab import (
@@ -308,7 +308,7 @@ def test_importing_the_package_loads_no_scipy():
 def every_lag_holder(values, mu, h):
     """Every lag reduced: the seminorm the pruned one must equal."""
     lags = np.arange(1, values.shape[0])
-    return float(np.max(norms._lag_sups(values, lags) / (lags * h) ** mu, initial=0.0))
+    return float(np.max(_singular.lag_sups(values, lags) / (lags * h) ** mu, initial=0.0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -338,7 +338,7 @@ def test_pruned_holder_seminorm_equals_the_every_lag_max(shape, kind, poison, mu
         values[data.draw(st.integers(0, n_nodes - 1)), data.draw(st.integers(0, d - 1))] = poison
     h = 1.0 / n_nodes if h is None else h
     with np.errstate(invalid="ignore"):
-        got = norms._holder_seminorm(values, mu, h)
+        got = _singular.holder_seminorm(values, mu, h)
         want = every_lag_holder(values, mu, h)
     assert got == want or (math.isnan(got) and math.isnan(want))
 
@@ -354,9 +354,9 @@ def test_pruned_holder_seminorm_of_long_paths_reduces_few_lags(monkeypatch, dim)
         reduced.append(len(lags))
         return lag_sups(values, lags)
 
-    lag_sups = norms._lag_sups
-    monkeypatch.setattr(norms, "_lag_sups", counted)
-    assert [norms._holder_seminorm(v, 0.7, grid.h) for v in paths] == want
+    lag_sups = _singular.lag_sups
+    monkeypatch.setattr(_singular, "lag_sups", counted)
+    assert [_singular.holder_seminorm(v, 0.7, grid.h) for v in paths] == want
     assert sum(reduced) < 0.5 * len(paths) * grid.n_main
 
 

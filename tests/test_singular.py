@@ -398,6 +398,52 @@ def test_pruned_anchored_sweeps_of_long_paths_sum_few_anchors(monkeypatch, dim):
         assert sum(summed) < 0.01 * got.size * grid.n_main
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scale", [1e300, 1e306, 1e307, 1.5e308])
+def test_finite_rows_whose_bounds_overflow_equal_the_full_sweep(monkeypatch, dim, scale):
+    # rows 0 and 2 are finite but so large that a bound, a head sum or a
+    # square can overflow; those rows leave their pruned block for the full
+    # sweep, and row 1 in the same block stays pruned
+    grid, rows = fbm_rows(3, n=255, dim=dim)
+    rows /= np.abs(rows).max(axis=(1, 2), keepdims=True)
+    rows[::2] *= scale
+    assert np.isfinite(rows).all()
+    lags = np.arange(1, grid.n_nodes)
+    swept = []
+
+    def counted_kernel(values, *args):
+        swept.extend(["nodes"] * len(np.reshape(values, (-1,) + np.shape(values)[-2:])))
+        return kernel(values, *args)
+
+    def counted_sweep(v, *args, last=None):
+        if last is None:
+            swept.extend(["anchors"] * len(v))
+        return sweep(v, *args, last=last)
+
+    def counted_lags(values, some):
+        if len(some) == len(lags):
+            swept.append("lags")
+        return lag_sups(values, some)
+
+    kernel, sweep, lag_sups = backward_increment_integrals, _singular._swept_max, _singular.lag_sups
+    monkeypatch.setattr(_singular, "backward_increment_integrals", counted_kernel)
+    monkeypatch.setattr(_singular, "_swept_max", counted_sweep)
+    monkeypatch.setattr(_singular, "lag_sups", counted_lags)
+    comps = np.moveaxis(rows, -1, -2)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = backward_increment_sups(rows, ALPHA + 1.0, grid.h)
+        want = full_sweep_sups(rows, ALPHA + 1.0, grid.h, 1.0, 0, None, None)
+        assert np.array_equal(got, want, equal_nan=True)
+        for values, c, signed in [(comps, 1.0 - ALPHA, True), (rows, 1.0, False)]:
+            got = anchored_sweep(values, ALPHA, grid.h, c, signed)
+            assert np.array_equal(got, lag_sweep(values, ALPHA, grid.h, c, signed), equal_nan=True)
+        for v in rows:
+            every_lag = np.max(lag_sups(v, lags) / (lags * grid.h) ** 0.7, initial=0.0)
+            assert _singular.holder_seminorm(v, 0.7, grid.h) == every_lag
+    if scale == 1.5e308:  # every sup of each scaled row overflows, of row 1 none
+        assert sorted(swept) == ["anchors"] * (2 + 2 * dim) + ["lags"] * 2 + ["nodes"] * 2
+
+
 @pytest.mark.parametrize("n", [2, 3, 48])
 def test_lag_swept_iterated_integrals_match_the_dense_matrix(n):
     grid, rows = fbm_rows(1, n=n)
