@@ -20,6 +20,10 @@ values only where a bound can reach the sup (_raise_to_exact, which sorts
 nothing), and the full sweep for rows with a non-finite entry or bound.
 Each equals its full sweep bit for bit, since a max does not depend on
 the order of its visits.
+
+Every euclidean magnitude of the norm family, here and in norms, comes
+from _magnitude, so each functional scales by exactly 2^k with the path
+while the values stay normal doubles, and a finite path never gives NaN.
 """
 from __future__ import annotations
 
@@ -120,16 +124,45 @@ def _row_blocks(count: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def _magnitude(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean magnitude of x over its component axis; the norm family's one rule.
+
+    One component gives |x|.  d components sum their squares in component
+    order and take the root.  An entry whose sum overflowed, or is so small
+    (below 2^(56(d-1)-1020)) that an underflowed square can still reach its
+    last bit, is summed again on its components scaled by the power of two
+    of the largest, which rounds as the in-range sum does.  So 2^k x gives
+    exactly 2^k times the magnitude of x while the inputs and the result
+    are normal doubles (for d >= 20 every entry is summed scaled), and a
+    finite entry reads inf only when its magnitude exceeds the double range.
+    """
+    lead = (slice(None),) * (axis % x.ndim)
+    comps = [x[lead + (i,)] for i in range(x.shape[axis])]
+    d = len(comps)
+    if d == 1:
+        return np.abs(comps[0])
+    with np.errstate(over="ignore"):  # an overflowed sum is summed again below
+        sq = comps[0] * comps[0]
+        for c in comps[1:]:
+            sq += c * c
+    mag = np.sqrt(sq, out=sq)
+    low = 2.0 ** (28 * d - 538) if d < 20 else np.inf
+    redo = (mag < low) | (mag == np.inf)
+    if redo.any():
+        sub = np.array([c[redo] for c in comps])
+        e = np.frexp(np.abs(sub).max(axis=0))[1]
+        # sum() starts from 0, which changes no bit of the same ordered sum
+        mag[redo] = np.ldexp(np.sqrt(sum(c * c for c in np.ldexp(sub, -e))), e)
+    return mag
+
+
 def _increment_magnitude(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
     """|increment|^delta of (rows, k) scalar or (rows, d, k) vector increments.
 
     Scalar increments are overwritten in place; vector increments reduce
-    to their euclidean magnitude over axis 1.
+    to their _magnitude over axis 1.
     """
-    if diff.ndim == 2:
-        mag = np.abs(diff, out=diff)
-    else:
-        mag = np.sqrt(np.sum(diff * diff, axis=1))
+    mag = np.abs(diff, out=diff) if diff.ndim == 2 else _magnitude(diff, 1)
     if delta != 1.0:
         mag **= delta
     return mag
@@ -160,7 +193,8 @@ def backward_increment_integrals(
         W = (Q[1:-1] + P[2:]).tolist()
         for blk in _row_blocks(len(rows), rows[:1].nbytes):
             acc, far = _lag_sums(rows[blk, ..., start:], W, P, n_lag, delta)
-            acc[:, 1:] -= far
+            # where far overflowed, the same increment's lag term made acc inf
+            np.subtract(acc[:, 1:], far, out=acc[:, 1:], where=far < np.inf)
             out[blk, start:] = acc
     return out.reshape(batch + (n_nodes,))
 
@@ -447,7 +481,8 @@ def anchored_sweep(
     magnitude |f(t) - f(s)|; K is the hat-rule integral over u in [s, t]
     of psi_s(u) (u-s)^(alpha-2), and c >= 0.  values has the layout of
     backward_increment_integrals and the result has shape (...); a path
-    with fewer than two nodes gives 0, and a NaN node gives NaN.  The
+    with fewer than two nodes gives 0, a NaN node gives NaN, and a finite
+    path whose signed increments overflow gives inf.  The
     result equals the lag-by-lag sweep over every pair bit for bit: rows
     of at least _ANCHORED_MIN_NODES finite nodes sum exactly only the
     anchors whose certified bound can reach the max (_pruned_anchored),
@@ -462,7 +497,11 @@ def anchored_sweep(
     def swept(full):
         v = rows[full]
         blocks = _row_blocks(len(v), v[:1].nbytes)
-        return np.concatenate([_swept_max(v[b], inv_denom, alpha, h, c, signed)[0] for b in blocks])
+        sups = np.concatenate([_swept_max(v[b], inv_denom, alpha, h, c, signed)[0] for b in blocks])
+        # a finite row reads NaN only where its signed increments overflowed and
+        # met as inf - inf; its sup is at least the row's range over T^(1-alpha)
+        sups[np.isnan(sups) & np.isfinite(v).all(axis=tuple(range(1, v.ndim)))] = np.inf
+        return sups
 
     def bounded(idx):
         return _pruned_anchored(rows[idx], inv_denom, alpha, h, c, signed)
@@ -566,11 +605,9 @@ def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H):
 def lag_sups(values: np.ndarray, lags) -> np.ndarray:
     """Largest increment magnitude |f(t + l h) - f(t)| over t, for each lag l.
 
-    values has shape (n_nodes, d); the squared magnitude is summed over the
-    components by einsum, and the root of its max is the max of the roots.
+    values has shape (n_nodes, d); the magnitude is _magnitude's.
     """
-    diffs = (values[l:] - values[:-l] for l in lags)
-    return np.sqrt([np.einsum("...i,...i->...", dv, dv).max() for dv in diffs])
+    return np.array([_magnitude(values[l:] - values[:-l], -1).max() for l in lags])
 
 
 def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
@@ -584,7 +621,7 @@ def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
     n = len(values)
     lags = np.arange(1, n)
     denom = (lags * h) ** mu
-    rows = np.ascontiguousarray(values.T)[None]  # (1, d, n): every d is squared, as lag_sups does
+    rows = _as_rows(values)[0]
     H = min(_HEAD_LAGS, n - 1)
 
     def ratios(part):

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._singular import _row_blocks
+from ._singular import _magnitude, _row_blocks
 
 __all__ = [
     "GridError",
@@ -235,7 +235,7 @@ class SamplePath:
 
     def sup_norm(self) -> float:
         """sup over nodes of the euclidean norm of the value."""
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.max(_magnitude(self.values, 1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,16 +17,19 @@ The family, for a path f on [-r, T] and a driver g on [0, T]:
 * delta_r: sup over u of the backward integral of delta-powered
   increments, the quantity controlling the sigma-increment estimates.
 
-All integrals discretize by the product-linear rule in _singular; vector
-values enter through euclidean increment magnitudes.  Every sup is exact
-without the full sweep: the sups over nodes (norm_alpha_infty,
-norm_alpha_lambda, delta_r), over anchored pairs (lambda_alpha,
-norm_1ma_infty_T) and over lags (the Hoelder ratio of norm_holder) run
-through _singular's certified sups, which reduce exactly only what a
-certified bound lets reach the sup, and each equals the full sweep's sup
-bit for bit.  Only norm_alpha_1 needs every node and keeps the full
-sweep.  Gamma is a port of Cephes' (scipy's) Gamma, so importing the
-package needs no scipy.
+All integrals discretize by the product-linear rule in _singular, and
+every magnitude, of a value |f(t)| or of an increment, comes from
+_singular._magnitude (|x| for a scalar path).  So scaling a path by 2^k
+scales each functional by exactly 2^k while its values stay normal
+doubles, and a finite path never reads NaN.
+Every sup is exact without the full sweep: the sups over nodes
+(norm_alpha_infty, norm_alpha_lambda, delta_r), over anchored pairs
+(lambda_alpha, norm_1ma_infty_T) and over lags (the Hoelder ratio of
+norm_holder) run through _singular's certified sups, which reduce
+exactly only what a certified bound lets reach the sup, and each equals
+the full sweep's sup bit for bit.  Only norm_alpha_1 needs every node
+and keeps the full sweep.  Gamma is a port of Cephes' (scipy's) Gamma,
+so importing the package needs no scipy.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._singular import (
+    _magnitude,
     anchored_sweep,
     backward_increment_integrals,
     backward_increment_sups,
@@ -110,15 +114,9 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
 
 
-def _magnitudes(values: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, without a full-size temporary."""
-    sq = np.einsum("...i,...i->...", values, values)
-    return np.sqrt(sq, out=sq)
-
-
 def _alpha_sups(values: np.ndarray, alpha: float, h: float, start: int, weights=None) -> np.ndarray:
     """Per path: sup over the nodes from start on of w(t) (|f(t)| + backward alpha-integral)."""
-    level = _magnitudes(values[..., start:, :])
+    level = _magnitude(values[..., start:, :], -1)
     return backward_increment_sups(values, alpha + 1.0, h, start=start, level=level, weights=weights)
 
 
@@ -145,7 +143,7 @@ def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
         raise ValueError(f"Hoelder exponent mu must lie in (0, 1], got {mu}")
     s0 = f.grid.history_start(r)
     vals = f.values[s0:]
-    return float(np.max(_magnitudes(vals))) + holder_seminorm(vals, mu, f.grid.h)
+    return float(np.max(_magnitude(vals, -1))) + holder_seminorm(vals, mu, f.grid.h)
 
 
 def norm_alpha_lambda(
@@ -226,7 +224,7 @@ def norm_alpha_1(f: SamplePath, alpha: float) -> float:
     _check_alpha(alpha)
     fm = main_segment(f)
     h = fm.grid.h
-    p = _magnitudes(fm.values)
+    p = _magnitude(fm.values, -1)
     term1 = float(cumulative_from_zero(p, alpha, h)[-1])
     E = backward_increment_integrals(fm.values, alpha + 1.0, h, start=0)
     term2 = float(_trapezoid(E, dx=h))

@@ -558,8 +558,6 @@ def eta_norm_alpha(eta: InitialSegment, alpha: float) -> float:
     The norm is shift-invariant, so the segment is re-read as a path on
     [0, r] and passed through the ordinary entry point.
     """
-    if eta.n_steps == 0:
-        return float(np.linalg.norm(eta.values[0]))
     grid = TimeGrid(0.0, eta.n_steps * eta.h, 0, eta.n_steps, eta.h)
     return norm_alpha_infty(SamplePath(grid, eta.values), alpha)
 

@@ -1,6 +1,7 @@
 """Command-line behavior: precedence, exit codes, outputs, reruns."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -189,6 +190,28 @@ def test_norms_reads_an_external_path(tmp_path):
     out = tmp_path / "n"
     assert run(["norms", "--outdir", out, "--input", src / "path.csv"]) == 0
     assert (out / "norms.csv").exists()
+
+
+@pytest.mark.parametrize("dim,k", [(1, -700), (2, 990)])
+def test_norms_of_a_path_scaled_by_a_power_of_two_scale_exactly(tmp_path, dim, k):
+    src = tmp_path / "src"
+    assert run(["fbm", "--outdir", src, "--n-main", 128, "--seed", 5, "--dim", dim]) == 0
+    lines = (src / "path.csv").read_text().splitlines()
+    scaled = [lines[0]]
+    for line in lines[1:]:  # the time column is kept as written; %.17g round-trips the values
+        t, *xs = line.split(",")
+        scaled.append(",".join([t] + [f"{math.ldexp(float(x), k):.17g}" for x in xs]))
+    (tmp_path / "scaled.csv").write_text("\n".join(scaled) + "\n")
+    tables = []
+    for name in ["src/path.csv", "scaled.csv"]:
+        out = tmp_path / f"n-{name[:3]}"
+        assert run(["norms", "--outdir", out, "--input", tmp_path / name]) == 0
+        header, row = (out / "norms.csv").read_text().splitlines()
+        tables.append(dict(zip(header.split(","), row.split(","))))
+    plain, big = tables
+    assert "nan" not in big.values()
+    for column in ["norm_alpha_infty", "holder", "alpha_lambda", "Lambda_alpha", "Delta_r", "norm_1ma", "norm_alpha_1"]:
+        assert float(big[column]) == math.ldexp(float(plain[column]), k), column
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

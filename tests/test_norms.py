@@ -360,6 +360,53 @@ def test_pruned_holder_seminorm_of_long_paths_reduces_few_lags(monkeypatch, dim)
     assert sum(reduced) < 0.5 * len(paths) * grid.n_main
 
 
+#: every positively homogeneous functional of the family, at delta = 1 and lambda = 0
+HOMOGENEOUS = {
+    "norm_alpha_infty": lambda f: norm_alpha_infty(f, ALPHA),
+    "norm_alpha_lambda": lambda f: norm_alpha_lambda(f, ALPHA, 0.0),
+    "norm_holder": lambda f: norm_holder(f, 1.0 - ALPHA),
+    "norm_alpha_1": lambda f: norm_alpha_1(f, ALPHA),
+    "lambda_alpha": lambda f: lambda_alpha(f, ALPHA),
+    "norm_1ma": lambda f: norm_1ma_infty_T(f, ALPHA),
+    "delta_r": lambda f: delta_r(f, ALPHA, 1.0),
+    "sup_norm": lambda f: f.sup_norm(),
+}
+
+
+def normal_exponents(values, results):
+    """(lo, hi): the k for which the nodes, the nonzero increments and the
+    results of 2^k values are all normal doubles."""
+    gaps = np.diff(np.sort(values, axis=0), axis=0)  # the smallest nonzero increments
+    small = np.concatenate([np.abs(values[values != 0]), gaps[gaps > 0], results[results > 0]])
+    large = np.concatenate([np.abs(values).ravel(), np.ptp(values, axis=0), results])
+    lo = -1022 - (int(np.frexp(small.min())[1]) - 1)  # 2^lo small.min() >= 2^-1022
+    hi = 1023 - (int(np.frexp(large.max())[1]) - 1)  # 2^hi large.max() < 2^1024
+    return lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_main=st.integers(1, 60).map(lambda m: 4 * m),  # node sups prune from 160 nodes, anchored ones from 64
+    d=st.sampled_from([1, 2, 3]),
+    r=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_scaling_a_path_by_a_power_of_two_scales_every_functional_exactly(n_main, d, r, seed, data):
+    # scaling by 2^k is exact in binary64, so a homogeneous functional must
+    # return exactly 2^k times its value wherever the inputs and result are normal
+    grid = make_grid(1.0, n_main, r)
+    values = np.random.default_rng(seed).standard_normal((grid.n_nodes, d)).cumsum(axis=0) / np.sqrt(n_main)
+    f = SamplePath(grid, values)
+    want = {name: fn(f) for name, fn in HOMOGENEOUS.items()}
+    lo, hi = normal_exponents(values, np.array(list(want.values())))
+    k = data.draw(st.integers(lo, hi), label="k")
+    scaled = SamplePath(grid, np.ldexp(values, k))
+    with np.errstate(over="ignore"):  # a bound past the double range sends its row to the full sweep
+        got = {name: fn(scaled) for name, fn in HOMOGENEOUS.items()}
+    assert got == {name: float(np.ldexp(v, k)) for name, v in want.items()}
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

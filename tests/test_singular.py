@@ -430,16 +430,24 @@ def test_finite_rows_whose_bounds_overflow_equal_the_full_sweep(monkeypatch, dim
     monkeypatch.setattr(_singular, "_swept_max", counted_sweep)
     monkeypatch.setattr(_singular, "lag_sups", counted_lags)
     comps = np.moveaxis(rows, -1, -2)[..., None]
+    sups = []
     with np.errstate(over="ignore", invalid="ignore"):
         got = backward_increment_sups(rows, ALPHA + 1.0, grid.h)
         want = full_sweep_sups(rows, ALPHA + 1.0, grid.h, 1.0, 0, None, None)
         assert np.array_equal(got, want, equal_nan=True)
+        sups.append(got)
         for values, c, signed in [(comps, 1.0 - ALPHA, True), (rows, 1.0, False)]:
             got = anchored_sweep(values, ALPHA, grid.h, c, signed)
-            assert np.array_equal(got, lag_sweep(values, ALPHA, grid.h, c, signed), equal_nan=True)
+            want = lag_sweep(values, ALPHA, grid.h, c, signed)
+            want[np.isnan(want)] = np.inf  # the sweep's inf - inf of signed increments past the range
+            assert np.array_equal(got, want)
+            sups.append(got.ravel())
         for v in rows:
             every_lag = np.max(lag_sups(v, lags) / (lags * grid.h) ** 0.7, initial=0.0)
-            assert _singular.holder_seminorm(v, 0.7, grid.h) == every_lag
+            got = _singular.holder_seminorm(v, 0.7, grid.h)
+            assert got == every_lag
+            sups.append([got])
+    assert not np.isnan(np.concatenate(sups)).any()  # a finite row reads finite or inf
     if scale == 1.5e308:  # every sup of each scaled row overflows, of row 1 none
         assert sorted(swept) == ["anchors"] * (2 + 2 * dim) + ["lags"] * 2 + ["nodes"] * 2
 
