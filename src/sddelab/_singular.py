@@ -24,6 +24,8 @@ the order of its visits.
 Every euclidean magnitude of the norm family, here and in norms, comes
 from _magnitude, so each functional scales by exactly 2^k with the path
 while the values stay normal doubles, and a finite path never gives NaN.
+The kernels decide once per block of rows (_plain_rows) whether the plain
+sum of squares gives _magnitude's bits, and use it in their lag loops.
 """
 from __future__ import annotations
 
@@ -124,48 +126,72 @@ def _row_blocks(count: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _magnitude(x: np.ndarray, axis: int) -> np.ndarray:
+def _magnitude(x: np.ndarray, axis: int, plain: bool = False) -> np.ndarray:
     """Euclidean magnitude of x over its component axis; the norm family's one rule.
 
-    One component gives |x|.  d components sum their squares in component
-    order and take the root.  An entry whose sum overflowed, or is so small
-    (below 2^(56(d-1)-1020)) that an underflowed square can still reach its
-    last bit, is summed again on its components scaled by the power of two
-    of the largest, which rounds as the in-range sum does.  So 2^k x gives
-    exactly 2^k times the magnitude of x while the inputs and the result
-    are normal doubles (for d >= 20 every entry is summed scaled), and a
-    finite entry reads inf only when its magnitude exceeds the double range.
+    One component gives |x|.  d components are scaled by 2^-e, with e the
+    binary exponent of the largest |component| (frexp); their squares are
+    summed in component order, and the root is scaled back by 2^e.  So 2^k x
+    gives exactly 2^k times the magnitude of x while the inputs and the
+    result are normal doubles, and a finite entry reads inf only when its
+    magnitude exceeds the double range.  plain=True sums the unscaled
+    squares, which gives the same bits where _plain_sums holds.
     """
     lead = (slice(None),) * (axis % x.ndim)
     comps = [x[lead + (i,)] for i in range(x.shape[axis])]
-    d = len(comps)
-    if d == 1:
+    if len(comps) == 1:
         return np.abs(comps[0])
-    with np.errstate(over="ignore"):  # an overflowed sum is summed again below
+    if plain:
         sq = comps[0] * comps[0]
         for c in comps[1:]:
             sq += c * c
-    mag = np.sqrt(sq, out=sq)
-    low = 2.0 ** (28 * d - 538) if d < 20 else np.inf
-    redo = (mag < low) | (mag == np.inf)
-    if redo.any():
-        sub = np.array([c[redo] for c in comps])
-        e = np.frexp(np.abs(sub).max(axis=0))[1]
-        # sum() starts from 0, which changes no bit of the same ordered sum
-        mag[redo] = np.ldexp(np.sqrt(sum(c * c for c in np.ldexp(sub, -e))), e)
-    return mag
+        return np.sqrt(sq, out=sq)
+    top = np.abs(comps[0])
+    for c in comps[1:]:
+        np.maximum(top, np.abs(c), out=top)
+    e = np.frexp(top)[1]
+    with np.errstate(over="ignore"):  # an inf component, or a root past the double range
+        sq = np.square(np.ldexp(comps[0], -e))
+        for c in comps[1:]:
+            sq += np.square(np.ldexp(c, -e))
+        return np.ldexp(np.sqrt(sq, out=sq), e, out=sq)
 
 
-def _increment_magnitude(diff: np.ndarray, delta: float = 1.0) -> np.ndarray:
+def _plain_sums(values: np.ndarray, d: int) -> bool:
+    """Whether _magnitude(plain=True) gives the scaled bits on the d-component
+    values and on every difference of two of them.
+
+    With A the largest |entry| and mu the smallest nonzero one, a nonzero
+    difference lies in [ulp(mu), 2A].  For A < 2^507 and mu >= 2^-458
+    every square and sum of the plain path is then a normal double, so it
+    rounds as in an unbounded exponent range.  For d < 20 the scaled sum
+    does too: a square lost to underflow moves a sum by less than
+    2^(54(d-1)-1022), below half an ulp of a sum of at least 1/4.  And
+    scaling by 2^e changes no rounding of an unbounded exponent range.
+    """
+    if d == 1:
+        return True  # |x| either way
+    a = np.abs(values)
+    mu = np.min(a, where=a > 0, initial=np.inf)
+    return d < 20 and np.max(a, initial=0.0) < 2.0**507 and mu >= 2.0**-458
+
+
+def _increment_magnitude(diff: np.ndarray, delta: float = 1.0, plain: bool = False) -> np.ndarray:
     """|increment|^delta of (rows, k) scalar or (rows, d, k) vector increments.
 
     Scalar increments are overwritten in place; vector increments reduce
-    to their _magnitude over axis 1.
+    to their _magnitude over axis 1, summed plain when the caller's rows
+    pass _plain_sums.
     """
-    mag = np.abs(diff, out=diff) if diff.ndim == 2 else _magnitude(diff, 1)
+    mag = np.abs(diff, out=diff) if diff.ndim == 2 else _magnitude(diff, 1, plain)
     if delta != 1.0:
         mag **= delta
     return mag
+
+
+def _plain_rows(v: np.ndarray) -> bool:
+    """_plain_sums of a block of rows in the _as_rows layout."""
+    return _plain_sums(v, v.shape[1] if v.ndim == 3 else 1)
 
 
 def backward_increment_integrals(
@@ -192,14 +218,15 @@ def backward_increment_integrals(
         P, Q = hat_weights(kappa, h, n_lag + 1)
         W = (Q[1:-1] + P[2:]).tolist()
         for blk in _row_blocks(len(rows), rows[:1].nbytes):
-            acc, far = _lag_sums(rows[blk, ..., start:], W, P, n_lag, delta)
+            v = rows[blk, ..., start:]
+            acc, far = _lag_sums(v, W, P, n_lag, delta, _plain_rows(v))
             # where far overflowed, the same increment's lag term made acc inf
             np.subtract(acc[:, 1:], far, out=acc[:, 1:], where=far < np.inf)
             out[blk, start:] = acc
     return out.reshape(batch + (n_nodes,))
 
 
-def _lag_sums(v, W, P, n_lag, delta):
+def _lag_sums(v, W, P, n_lag, delta, plain):
     """(acc, far) of the kernel's lag loop over the rows v, lags 1..n_lag.
 
     acc[:, j] adds W[l-1] |v_j - v_(j-l)|^delta (W[l-1] = Q[l] + P[l+1])
@@ -208,10 +235,10 @@ def _lag_sums(v, W, P, n_lag, delta):
     """
     acc = np.zeros((len(v), v.shape[-1]))
     for l in range(1, n_lag + 1):
-        phi = _increment_magnitude(v[..., :-l] - v[..., l:], delta)
+        phi = _increment_magnitude(v[..., :-l] - v[..., l:], delta, plain)
         phi *= W[l - 1]
         acc[:, l:] += phi
-    far = _increment_magnitude(v[..., 1:] - v[..., :1], delta)
+    far = _increment_magnitude(v[..., 1:] - v[..., :1], delta, plain)
     far *= P[2:]
     return acc, far
 
@@ -315,12 +342,12 @@ def _piece_boxes(v: np.ndarray, H: int, m: int, reach: int = 0):
         yield lag, width, hi, lo
 
 
-def _box_distance(v, hi, lo, lag: int, delta: float = 1.0) -> np.ndarray:
+def _box_distance(v, hi, lo, lag: int, plain: bool, delta: float = 1.0) -> np.ndarray:
     """|dev|^delta at the nodes j >= lag: dev is the largest distance from v[j]
     to the box [lo, hi] at node j - lag, euclidean over components."""
     cur = v[..., lag:]
     dev = np.maximum(cur - lo[..., :-lag], hi[..., :-lag] - cur)
-    return _increment_magnitude(dev, delta)
+    return _increment_magnitude(dev, delta, plain)
 
 
 def _margin(bound: np.ndarray, m: int) -> np.ndarray:
@@ -390,7 +417,8 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
     P, Q = hat_weights(kappa, h, m)
     W = Q[1:-1] + P[2:]  # W[l-1] weights lag l, as in backward_increment_integrals
     H = min(_HEAD_LAGS, m - 1)
-    acc, far = _lag_sums(v, W, P, H, delta)
+    plain = _plain_rows(v)
+    acc, far = _lag_sums(v, W, P, H, delta, plain)
     head = acc[:, : H + 1].copy()
     head[:, 1:] -= far[:, :H]
     head += lev[:, : H + 1]
@@ -398,7 +426,7 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
 
     bound = acc.copy()
     for lag, width, hi, lo in _piece_boxes(v, H, m):
-        dev = _box_distance(v, hi, lo, lag, delta)
+        dev = _box_distance(v, hi, lo, lag, plain, delta)
         cw = np.cumsum(W[lag - 1 : lag - 1 + width])
         dev[:, : len(cw) - 1] *= cw[:-1]  # node lag + i sees only lags lag..lag + i
         dev[:, len(cw) - 1 :] *= cw[-1]
@@ -411,11 +439,11 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
     # read the contiguous window rev[..., m - j + H:]
     rev = np.concatenate([v[..., ::-1], np.repeat(v[..., :1], m, axis=-1)], axis=-1)
     return best, bound, lambda r, k: _continued(
-        v, rev, acc, far, lev, w, W, r, k + H + 1, H, delta
+        v, rev, acc, far, lev, w, W, plain, r, k + H + 1, H, delta
     )
 
 
-def _continued(v, rev, acc, far, lev, w, W, r, j, H, delta):
+def _continued(v, rev, acc, far, lev, w, W, plain, r, j, H, delta):
     """Exact w (a + I) at the nodes j of the rows r: the kernel's sums from lag H + 1 on.
 
     Each node's lags H+1..j are read as one window of the reversed row and
@@ -423,7 +451,7 @@ def _continued(v, rev, acc, far, lev, w, W, r, j, H, delta):
     lag j into the padding, and the sum is read off at lag j.
     """
     n_lag = j.max() - H
-    phi = _increment_magnitude(_windows(rev, r, v.shape[-1] - 1 - j, H + 1, n_lag), delta)
+    phi = _increment_magnitude(_windows(rev, r, v.shape[-1] - 1 - j, H + 1, n_lag), delta, plain)
     terms = np.empty((len(j), n_lag + 1))
     terms[:, 0] = acc[r, j]
     with np.errstate(over="ignore"):  # only the lags past j can overflow
@@ -457,10 +485,11 @@ def _forward_lags(v: np.ndarray, kappa: float, h: float, signed: bool):
     """
     N = v.shape[-1] - 1
     P, Q = hat_weights(kappa, h, N)
+    plain = _plain_rows(v)
     for L in range(1, N + 1):
         psi = v[..., L:] - v[..., :-L]
         if not signed:
-            psi = _increment_magnitude(psi)
+            psi = _increment_magnitude(psi, plain=plain)
         cell = Q[L] * psi
         if L == 1:
             K = cell
@@ -482,8 +511,9 @@ def anchored_sweep(
     of psi_s(u) (u-s)^(alpha-2), and c >= 0.  values has the layout of
     backward_increment_integrals and the result has shape (...); a path
     with fewer than two nodes gives 0, a NaN node gives NaN, and a finite
-    path whose signed increments overflow gives inf.  The
-    result equals the lag-by-lag sweep over every pair bit for bit: rows
+    path whose increments overflow reads inf, as in
+    backward_increment_integrals.  The result equals the lag-by-lag sweep
+    over every pair bit for bit: rows
     of at least _ANCHORED_MIN_NODES finite nodes sum exactly only the
     anchors whose certified bound can reach the max (_pruned_anchored),
     and the others sweep every anchor of every row of a cache-sized block
@@ -498,8 +528,8 @@ def anchored_sweep(
         v = rows[full]
         blocks = _row_blocks(len(v), v[:1].nbytes)
         sups = np.concatenate([_swept_max(v[b], inv_denom, alpha, h, c, signed)[0] for b in blocks])
-        # a finite row reads NaN only where its signed increments overflowed and
-        # met as inf - inf; its sup is at least the row's range over T^(1-alpha)
+        # overflowed increments read inf, as in backward_increment_integrals: a
+        # finite row reads NaN only where they met as inf - inf
         sups[np.isnan(sups) & np.isfinite(v).all(axis=tuple(range(1, v.ndim)))] = np.inf
         return sups
 
@@ -550,8 +580,9 @@ def _pruned_anchored(v, inv_denom, alpha, h, c, signed):
     # rows padded with their last value: the lags H.. of anchor s read the
     # contiguous window pad[..., s + H:]
     pad = np.concatenate([v, np.repeat(v[..., -1:], m, axis=-1)], axis=-1)
+    plain = _plain_rows(v)
     return best, bound, lambda r, s: _anchored_tails(
-        v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H
+        v, pad, K_head, inv_denom, P, Q, c, signed, plain, r, s, H
     )
 
 
@@ -563,11 +594,12 @@ def _anchored_bounds(v, K_head, inv_denom, P, Q, c, H):
     m = v.shape[-1]
     # anchor s = N - j of the reversed rows: bounds accumulate at node j
     rev = np.ascontiguousarray(v[..., ::-1])
+    plain = _plain_rows(v)
     mass_dev = np.zeros((len(v), m))
     mass_dev[:, H:] = np.abs(K_head[:, ::-1])
     bound = np.zeros((len(v), m))
     for lag, width, hi, lo in _piece_boxes(rev, H, m, reach=1):
-        dev = _box_distance(rev, hi, lo, lag - 1)[:, 1:]
+        dev = _box_distance(rev, hi, lo, lag - 1, plain)[:, 1:]
         mass = np.sum(P[lag : lag + width] + Q[lag : lag + width])
         mass_dev[:, lag:] += mass * dev
         dev *= np.max(inv_denom[lag - 1 : lag - 1 + width])
@@ -576,7 +608,7 @@ def _anchored_bounds(v, K_head, inv_denom, P, Q, c, H):
     return _margin(bound[:, ::-1], m)[:, : m - 1 - H]
 
 
-def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H):
+def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, plain, r, s, H):
     """Exact max over the lags H+1..N - s of |psi (t-s)^(alpha-1) + c K| at the anchors s of the rows r.
 
     The cells of each anchor's lags are added to its K at lag H by a
@@ -587,7 +619,7 @@ def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, r, s, H):
     n_lag = N - H - s.min()
     psi = _windows(pad, r, s, H, n_lag + 1)
     if not signed:
-        psi = _increment_magnitude(psi)
+        psi = _increment_magnitude(psi, plain=plain)
     K = np.empty((len(s), n_lag + 1))
     K[:, 0] = K_head[r, s]
     lags = slice(H + 1, H + 1 + n_lag)
@@ -607,7 +639,8 @@ def lag_sups(values: np.ndarray, lags) -> np.ndarray:
 
     values has shape (n_nodes, d); the magnitude is _magnitude's.
     """
-    return np.array([_magnitude(values[l:] - values[:-l], -1).max() for l in lags])
+    plain = _plain_sums(values, values.shape[-1])
+    return np.array([_magnitude(values[l:] - values[:-l], -1, plain).max() for l in lags])
 
 
 def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
@@ -633,8 +666,9 @@ def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
     def bounded(idx):
         best = np.array([np.max(ratios(lags[:H]), initial=0.0)])
         bound = np.empty((1, n - 1 - H))
+        plain = _plain_rows(rows)
         for lag, width, hi, lo in _piece_boxes(rows, H, n):
-            dev = _box_distance(rows, hi, lo, lag).max(axis=1)
+            dev = _box_distance(rows, hi, lo, lag, plain).max(axis=1)
             bound[:, lag - 1 - H : lag - 1 - H + width] = dev / denom[lag - 1 : lag - 1 + width]
         return best, _margin(bound, values.shape[1]), lambda r, k: ratios(lags[k + H])
 

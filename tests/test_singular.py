@@ -398,6 +398,25 @@ def test_pruned_anchored_sweeps_of_long_paths_sum_few_anchors(monkeypatch, dim):
         assert sum(summed) < 0.01 * got.size * grid.n_main
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(2, 19),
+    lo=st.integers(-560, 520),
+    width=st.integers(0, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plain_sums_give_the_scaled_bits_where_plain_sums_holds(d, lo, width, seed):
+    # components spread over up to 1000 binades, some zero, near both ends of
+    # the plain range: where _plain_sums admits the values, the unscaled sum of
+    # squares must give the scaled rule's bits on them and on every difference
+    rng = np.random.default_rng(seed)
+    values = np.ldexp(rng.uniform(-1.0, 1.0, (24, d)), rng.integers(lo, min(lo + width, 520) + 1, (24, d)))
+    values[rng.random((24, d)) < 0.1] = 0.0
+    if _singular._plain_sums(values, d):
+        for x in [values] + [values[l:] - values[:-l] for l in range(1, 24)]:
+            assert np.array_equal(_singular._magnitude(x, -1, plain=True), _singular._magnitude(x, -1))
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("scale", [1e300, 1e306, 1e307, 1.5e308])
 def test_finite_rows_whose_bounds_overflow_equal_the_full_sweep(monkeypatch, dim, scale):
