@@ -300,7 +300,8 @@ def _certified_sups(rows, min_nodes, bounded, swept):
     pruned = np.flatnonzero(~full)
     for blk in _row_blocks(len(pruned), 4 * rows[:1].nbytes):
         idx = pruned[blk]
-        best, bound, exact = bounded(idx)
+        with np.errstate(over="ignore"):  # an overflowed best or bound sends its row to the sweep
+            best, bound, exact = bounded(idx)
         overflow = ~(np.isfinite(bound).all(axis=1) & np.isfinite(best))
         bound[overflow] = -np.inf
         _raise_to_exact(best, bound, exact, rows[0].nbytes)

@@ -103,8 +103,6 @@ def _run_norms(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
 
 
 def _run_integrate(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
-    if bool(cfg["f_input"]) != bool(cfg["g_input"]):
-        raise ConfigError("provide both f_input and g_input, or neither")
     if cfg["f_input"]:
         f = read_path_csv(cfg["f_input"])
         g = read_path_csv(cfg["g_input"])

@@ -5,6 +5,9 @@ environment variables with the ``SDDELAB_`` prefix, a flat ``key=value``
 config file, and command-line flags.  Every key is declared per
 subcommand; unknown keys in a config file are an error, and so are
 ``SDDELAB_``-prefixed variables that match no declared key anywhere.
+A resolved or recorded config is checked by building the objects its
+run builds (validate_config), so each admissibility rule has one home
+and a refused config raises ConfigError before any output is made.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .fbm import FBM_METHODS
-from .grids import DelayAlignmentError, make_grid
-from .presets import COEFFICIENT_PRESETS, ETA_PRESETS
-from .solver import SCHEMES
+from .fbm import FbmConfig
+from .grids import make_grid
+from .norms import check_delta_window
+from .presets import coefficient_preset, eta_preset
+from .solver import SolverConfig
 
 ENV_PREFIX = "SDDELAB_"
 
@@ -191,64 +195,37 @@ def _require(cond: bool, message: str) -> None:
 
 
 def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
-    """Reject inadmissible values; messages state the violated condition."""
+    """Reject inadmissible values by building the objects a run builds.
+
+    Each rule lives with the object that uses it: FbmConfig, make_grid,
+    SolverConfig (for every subcommand with an alpha), delta_r's window
+    and the presets, whose ValueError becomes a ConfigError.  Stated here
+    are only finiteness (a NaN lam or an infinite picard_tol passes those
+    objects), the integrate input pairing and the delay ladder of converge.
+    """
     for name, opt in SCHEMAS[subcommand].items():
         if opt.kind in ("float", "maybe_float") and cfg[name] is not None:
             _require(math.isfinite(cfg[name]), f"{name} must be finite, got {cfg[name]}")
-    _require(cfg["seed"] >= 0, f"seed must be >= 0, got {cfg['seed']}")
-    _require(cfg["horizon"] > 0.0, f"horizon must be > 0, got {cfg['horizon']}")
-    _require(cfg["n_main"] >= 2, f"n_main must be >= 2, got {cfg['n_main']}")
-    _require(
-        0.0 < cfg["hurst"] < 1.0, f"hurst must lie in (0, 1), got {cfg['hurst']}"
-    )
-    _require(
-        cfg["method"] in FBM_METHODS,
-        f"method must be one of {FBM_METHODS}, got {cfg['method']!r}",
-    )
-    if "r" in cfg:
-        _require(cfg["r"] >= 0.0, f"r must be >= 0, got {cfg['r']}")
-        try:
-            make_grid(cfg["horizon"], cfg["n_main"], cfg["r"])
-        except DelayAlignmentError as exc:
-            raise ConfigError(str(exc)) from None
-    if "alpha" in cfg:
-        alpha, hurst = cfg["alpha"], cfg["hurst"]
-        _require(0.0 < alpha < 0.5, f"alpha must lie in (0, 1/2), got {alpha}")
-        if not 1.0 - hurst < alpha < 0.5:
-            raise ConfigError(
-                f"alpha = {alpha:g} is not admissible for hurst = {hurst:g}: "
-                f"alpha must lie in the open interval (1 - hurst, 1/2) = "
-                f"({1.0 - hurst:g}, 0.5)"
+    try:
+        FbmConfig(hurst=cfg["hurst"], dim=cfg.get("dim", 1), seed=cfg["seed"], method=cfg["method"])
+        grid = make_grid(cfg["horizon"], cfg["n_main"], cfg.get("r", 0.0))
+        if "alpha" in cfg:
+            solver_keys = ("scheme", "lam", "picard_tol", "picard_max_iter")
+            SolverConfig(
+                alpha=cfg["alpha"], grid=grid, hurst=cfg["hurst"],
+                **{key: cfg[key] for key in solver_keys if key in cfg},
             )
-    if "dim" in cfg:
-        _require(cfg["dim"] >= 1, f"dim must be >= 1, got {cfg['dim']}")
-    if "lam" in cfg and cfg["lam"] is not None:
-        _require(cfg["lam"] >= 1.0, f"lam must be >= 1 when given, got {cfg['lam']}")
-    if "delta" in cfg:
+        if "delta" in cfg:
+            check_delta_window(cfg["alpha"], cfg["delta"])
+        if "preset" in cfg:
+            coefficient_preset(cfg["preset"])
+            eta_preset(cfg["eta"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if subcommand == "integrate":
         _require(
-            0.0 < cfg["delta"] <= 1.0, f"delta must lie in (0, 1], got {cfg['delta']}"
-        )
-    if "picard_tol" in cfg:
-        _require(cfg["picard_tol"] > 0.0, f"picard_tol must be > 0, got {cfg['picard_tol']}")
-    if "picard_max_iter" in cfg:
-        _require(
-            cfg["picard_max_iter"] >= 1,
-            f"picard_max_iter must be >= 1, got {cfg['picard_max_iter']}",
-        )
-    if "scheme" in cfg:
-        _require(
-            cfg["scheme"] in SCHEMES,
-            f"scheme must be one of {SCHEMES}, got {cfg['scheme']!r}",
-        )
-    if "preset" in cfg:
-        _require(
-            cfg["preset"] in COEFFICIENT_PRESETS,
-            f"preset must be one of {tuple(COEFFICIENT_PRESETS)}, got {cfg['preset']!r}",
-        )
-    if "eta" in cfg:
-        _require(
-            cfg["eta"] in ETA_PRESETS,
-            f"eta must be one of {tuple(ETA_PRESETS)}, got {cfg['eta']!r}",
+            bool(cfg["f_input"]) == bool(cfg["g_input"]),
+            "provide both f_input and g_input, or neither",
         )
     if subcommand == "converge":
         _require(cfg["n_seeds"] >= 30, f"n_seeds must be >= 30, got {cfg['n_seeds']}")

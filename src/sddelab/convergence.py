@@ -18,7 +18,7 @@ import numpy as np
 
 from .fbm import FbmConfig, generate_fbm
 from .grids import InitialSegment, SamplePath, main_segment, make_grid
-from .norms import _check_alpha, alpha_infty_rows, lambda_alpha_rows
+from .norms import _check_alpha, alpha_infty_rows, check_alpha_window, lambda_alpha_rows
 from .solver import CoefficientSet, _check_inputs, _euler_steps
 
 __all__ = [
@@ -264,10 +264,7 @@ def fernique_statistics(
     """
     if n_seeds < 100:
         raise ValueError(f"n_seeds must be >= 100, got {n_seeds}")
-    if not 1.0 - fbm_cfg.hurst < alpha < 0.5:
-        raise ValueError(
-            f"alpha = {alpha} must lie in (1 - H, 1/2) = ({1 - fbm_cfg.hurst:g}, 0.5)"
-        )
+    check_alpha_window(alpha, fbm_cfg.hurst)
     grid = make_grid(T, n_main, 0.0)
     drivers = np.stack([generate_fbm(grid, fbm_cfg, index=i).values for i in range(n_seeds)])
     samples = lambda_alpha_rows(drivers, alpha, grid.h)

@@ -216,16 +216,12 @@ class SamplePath:
     def value_at_time(self, t: float) -> np.ndarray:
         return self.values[self.grid.index_of(t)]
 
-    def _require_same_grid(self, other: "SamplePath") -> None:
-        if self.grid != other.grid:
-            raise GridMismatchError("paths live on different grids")
-
     def __add__(self, other: "SamplePath") -> "SamplePath":
-        self._require_same_grid(other)
+        require_same_grid(self.grid, other.grid)
         return SamplePath(self.grid, self.values + other.values)
 
     def __sub__(self, other: "SamplePath") -> "SamplePath":
-        self._require_same_grid(other)
+        require_same_grid(self.grid, other.grid)
         return SamplePath(self.grid, self.values - other.values)
 
     def __mul__(self, c: float) -> "SamplePath":

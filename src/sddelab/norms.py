@@ -114,6 +114,26 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
 
 
+def check_alpha_window(alpha: float, hurst: float) -> None:
+    """Require 1 - hurst < alpha < 1/2, where the driver functionals are finite."""
+    if not 1.0 - hurst < alpha < 0.5:
+        raise ValueError(
+            f"alpha = {alpha:g} is not admissible for hurst = {hurst:g}: "
+            f"alpha must lie in the open interval (1 - hurst, 1/2) = "
+            f"({1.0 - hurst:g}, 0.5)"
+        )
+
+
+def check_delta_window(alpha: float, delta: float) -> None:
+    """Require 0 < delta <= 1 and alpha < delta / (1 + delta), delta_r's window."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if not alpha < delta / (1.0 + delta):
+        raise ValueError(
+            f"delta_r needs alpha < delta/(1+delta); got alpha={alpha}, delta={delta}"
+        )
+
+
 def _alpha_sups(values: np.ndarray, alpha: float, h: float, start: int, weights=None) -> np.ndarray:
     """Per path: sup over the nodes from start on of w(t) (|f(t)| + backward alpha-integral)."""
     level = _magnitude(values[..., start:, :], -1)
@@ -236,12 +256,7 @@ def delta_r(
 ) -> float:
     """sup_u int_{-r}^u |f(u)-f(s)|^delta (u-s)^(-alpha-1) ds."""
     _check_alpha(alpha)
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if not alpha < delta / (1.0 + delta):
-        raise ValueError(
-            f"delta_r needs alpha < delta/(1+delta); got alpha={alpha}, delta={delta}"
-        )
+    check_delta_window(alpha, delta)
     s0 = f.grid.history_start(r)
     return float(backward_increment_sups(f.values, alpha + 1.0, f.grid.h, delta=delta, start=s0))
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .grids import GridError, InitialSegment, SamplePath, TimeGrid, require_same_grid, same_step
 from .integrate import PathWindow
-from .norms import NormReport, compute_norm_report, lambda_alpha, norm_alpha_infty, norm_alpha_lambda
+from .norms import NormReport, _check_alpha, check_alpha_window, compute_norm_report, lambda_alpha
+from .norms import norm_alpha_infty, norm_alpha_lambda
 
 __all__ = [
     "CoefficientSet",
@@ -149,8 +150,7 @@ class SolverConfig:
     compute_report: bool = True
 
     def __post_init__(self):
-        if not 0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be euler or picard, got {self.scheme!r}")
         if self.lam is not None and self.lam < 1:
@@ -162,11 +162,7 @@ class SolverConfig:
         if self.hurst is not None:
             if not 0 < self.hurst < 1:
                 raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-            if self.alpha <= 1 - self.hurst:
-                raise ValueError(
-                    f"alpha = {self.alpha} must exceed 1 - H = {1 - self.hurst:g} "
-                    "for the driver functionals to be finite"
-                )
+            check_alpha_window(self.alpha, self.hurst)
 
 
 @dataclass(frozen=True)
@@ -191,8 +187,7 @@ def phi_gamma_alpha(gamma: float, alpha: float) -> float:
     """
     if not 0 <= gamma <= 1:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if not 0 < alpha < 0.5:
-        raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
+    _check_alpha(alpha)
     if gamma == 1:
         return 2 * alpha
     if gamma < (1 - 2 * alpha) / (1 - alpha):

@@ -9,7 +9,7 @@ import pytest
 
 from sddelab import cli, fbm
 from sddelab.cli import main
-from sddelab.config import ConfigError, parse_config_file, resolve_config
+from sddelab.config import ConfigError, check_recorded_config, parse_config_file, resolve_config
 from sddelab.manifest import read_manifest, sha256_file, verify_outputs
 
 
@@ -121,6 +121,56 @@ def test_off_grid_delay_is_a_config_error(capsys, tmp_path):
     assert code == 2
     assert "not aligned" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+#: one inadmissible value per rule, under each subcommand that has the key
+REFUSED = [
+    *[[sub, *flags] for sub in ("fbm", "norms", "integrate", "solve", "converge") for flags in (
+        ["--seed", -1], ["--horizon", 0], ["--n-main", 1], ["--hurst", 1], ["--method", "bogus"])],
+    *[[sub, *flags] for sub in ("norms", "integrate", "solve", "converge") for flags in (
+        ["--alpha", 0.5], ["--alpha", 0.2, "--hurst", 0.75])],
+    *[[sub, *flags] for sub in ("fbm", "norms", "solve") for flags in (
+        ["--r", -0.25], ["--r", 0.3, "--n-main", 256])],
+    *[[sub, "--lam", 0.5] for sub in ("norms", "solve")],
+    *[[sub, *flags] for sub in ("solve", "converge") for flags in (
+        ["--preset", "bogus"], ["--eta", "bogus"])],
+    ["fbm", "--dim", 0],
+    ["norms", "--delta", 0],
+    ["norms", "--delta", 1.5],
+    ["norms", "--alpha", 0.4, "--delta", 0.5],  # delta/(1+delta) = 1/3 < alpha
+    ["solve", "--picard-tol", 0],
+    ["solve", "--picard-max-iter", 0],
+    ["solve", "--scheme", "rk4"],
+    ["converge", "--n-seeds", 29],
+    ["converge", "--k-min", 0],
+    ["converge", "--k-min", 3, "--k-max", 5],
+    ["converge", "--n-main", 100, "--k-max", 5],
+    ["integrate", "--f-input", "only-one.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=[" ".join(map(str, argv)) for argv in REFUSED])
+def test_an_inadmissible_value_exits_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run(argv + ["--outdir", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()  # so no manifest line either
+
+
+def test_rerun_refuses_a_recorded_config_by_the_same_rules(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run(["norms", "--outdir", first, "--n-main", 64]) == 0
+    manifest = first / "manifest.jsonl"
+    line = json.loads(manifest.read_text())
+    line["config"].update(alpha=0.4, delta=0.5)
+    manifest.write_text(json.dumps(line) + "\n")
+    with pytest.raises(ConfigError, match="delta"):
+        check_recorded_config("norms", line["config"])
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", first, "--outdir", tmp_path / "again"]) == 2
+    assert "delta/(1+delta)" in capsys.readouterr().err
+    assert not (tmp_path / "again").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -247,12 +297,6 @@ def test_integrate_writes_certificate(tmp_path):
     assert cert["satisfied"] is True
     assert cert["measured"] <= cert["bound"] * (1 + 1e-9)
     assert (out / "integral.csv").exists()
-
-
-def test_integrate_requires_paired_inputs(tmp_path):
-    code = run(["integrate", "--outdir", tmp_path / "i",
-                "--f-input", "only-one.csv"])
-    assert code == 2
 
 
 def test_solve_outputs_solution_and_record(tmp_path):

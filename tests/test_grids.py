@@ -119,6 +119,15 @@ def test_sample_path_arithmetic_and_grid_guard():
         _ = f + other
 
 
+def test_a_csv_round_trip_subtracts_from_its_source_to_zero():
+    # make_grid(1.0, 3, 2/3) reads back with t_end = 0.9999999999999999, the same grid to rounding
+    x = SamplePath.from_function(make_grid(1.0, 3, 2.0 / 3.0), lambda t: np.sin(3.0 * t))
+    back = read_path_csv(io.StringIO(path_text(x)))
+    assert back.grid != x.grid
+    assert np.array_equal((back - x).values, np.zeros_like(x.values))
+    assert np.array_equal((x + back).values, 2.0 * x.values)
+
+
 def test_initial_segment_from_function():
     eta = InitialSegment.from_function(lambda t: 1.0 + t, 0.5, 0.125)
     assert eta.n_steps == 4
