@@ -1,171 +1,21 @@
-"""Pathwise delay-equation laboratory for rough Gaussian drivers."""
+"""Pathwise delay-equation laboratory for rough Gaussian drivers.
+
+A module's ``__all__`` is the one place a name is made public; the
+package exports those lists in the order imported below.
+"""
 
 __version__ = "0.1.0"
 
-from .convergence import (
-    ConvergenceReport,
-    FerniqueRecord,
-    GateReport,
-    RateFit,
-    default_delays,
-    evaluate_convergence_gates,
-    fernique_statistics,
-    lp_convergence_study,
-    pathwise_convergence_study,
-    rate_fit,
-)
-from .fbm import (
-    FbmConfig,
-    fbm_covariance,
-    fgn_autocovariance,
-    generate_fbm,
-    keyed_generator,
-    sample_fbm_batch,
-)
-from .grids import (
-    DelayAlignmentError,
-    GridError,
-    GridMismatchError,
-    InitialSegment,
-    SamplePath,
-    TimeGrid,
-    main_segment,
-    make_grid,
-    read_path_csv,
-    shift_by_delay,
-    write_path_csv,
-)
-from .integrate import (
-    BoundCertificate,
-    IntegralResult,
-    NrBoundsReport,
-    PathWindow,
-    SigmaIncrementReport,
-    check_nr_bounds,
-    check_sigma_increment_bound,
-    drift_integral,
-    left_point_accumulate,
-    young_integral,
-)
-from .norms import (
-    NormReport,
-    compute_norm_report,
-    delta_r,
-    estimate_holder_exponent,
-    lambda_alpha,
-    norm_1ma_infty_T,
-    norm_alpha_1,
-    norm_alpha_infty,
-    norm_alpha_lambda,
-    norm_holder,
-    weyl_derivative,
-)
-from .presets import (
-    COEFFICIENT_PRESETS,
-    ETA_PRESETS,
-    coefficient_preset,
-    eta_preset,
-)
-from .solver import (
-    APrioriRecord,
-    CoefficientSet,
-    DivergenceError,
-    FittedBound,
-    HypothesisReport,
-    RegimeReport,
-    SolutionBundle,
-    SolverConfig,
-    a_priori_bound_report,
-    a_priori_record,
-    contraction_lambda,
-    eta_norm_alpha,
-    phi_gamma_alpha,
-    regime_report,
-    solve,
-    solve_euler,
-    solve_picard,
-    stopping_lambda,
-    validate_hypotheses,
-)
+from . import convergence, fbm, grids, integrate, norms, presets, solver
+from .grids import *  # noqa: F401,F403
+from .norms import *  # noqa: F401,F403
+from .fbm import *  # noqa: F401,F403
+from .integrate import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .presets import *  # noqa: F401,F403
+from .convergence import *  # noqa: F401,F403
 
 __all__ = [
-    "__version__",
-    # grids
-    "DelayAlignmentError",
-    "GridError",
-    "GridMismatchError",
-    "InitialSegment",
-    "SamplePath",
-    "TimeGrid",
-    "main_segment",
-    "make_grid",
-    "read_path_csv",
-    "shift_by_delay",
-    "write_path_csv",
-    # norms
-    "NormReport",
-    "compute_norm_report",
-    "delta_r",
-    "estimate_holder_exponent",
-    "lambda_alpha",
-    "norm_1ma_infty_T",
-    "norm_alpha_1",
-    "norm_alpha_infty",
-    "norm_alpha_lambda",
-    "norm_holder",
-    "weyl_derivative",
-    # driver sampling
-    "FbmConfig",
-    "fbm_covariance",
-    "fgn_autocovariance",
-    "generate_fbm",
-    "keyed_generator",
-    "sample_fbm_batch",
-    # integration
-    "BoundCertificate",
-    "IntegralResult",
-    "NrBoundsReport",
-    "PathWindow",
-    "SigmaIncrementReport",
-    "check_nr_bounds",
-    "check_sigma_increment_bound",
-    "drift_integral",
-    "left_point_accumulate",
-    "young_integral",
-    # solver
-    "APrioriRecord",
-    "CoefficientSet",
-    "DivergenceError",
-    "FittedBound",
-    "HypothesisReport",
-    "RegimeReport",
-    "SolutionBundle",
-    "SolverConfig",
-    "a_priori_bound_report",
-    "a_priori_record",
-    "contraction_lambda",
-    "eta_norm_alpha",
-    "phi_gamma_alpha",
-    "regime_report",
-    "solve",
-    "solve_euler",
-    "solve_picard",
-    "stopping_lambda",
-    "validate_hypotheses",
-    # presets
-    "COEFFICIENT_PRESETS",
-    "ETA_PRESETS",
-    "coefficient_preset",
-    "eta_preset",
-    # convergence lab
-    "ConvergenceReport",
-    "FerniqueRecord",
-    "GateReport",
-    "RateFit",
-    "default_delays",
-    "evaluate_convergence_gates",
-    "fernique_statistics",
-    "lp_convergence_study",
-    "pathwise_convergence_study",
-    "rate_fit",
+    "__version__", *grids.__all__, *norms.__all__, *fbm.__all__, *integrate.__all__,
+    *solver.__all__, *presets.__all__, *convergence.__all__,
 ]

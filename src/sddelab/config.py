@@ -199,7 +199,8 @@ def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
 
     Each rule lives with the object that uses it: FbmConfig, make_grid,
     SolverConfig (for every subcommand with an alpha), delta_r's window
-    and the presets, whose ValueError becomes a ConfigError.  Stated here
+    and the presets, whose ValueError becomes a ConfigError; a path input
+    replaces the driver, so it skips FbmConfig and make_grid.  Stated here
     are only finiteness (a NaN lam or an infinite picard_tol passes those
     objects), the integrate input pairing and the delay ladder of converge.
     """
@@ -207,12 +208,15 @@ def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
         if opt.kind in ("float", "maybe_float") and cfg[name] is not None:
             _require(math.isfinite(cfg[name]), f"{name} must be finite, got {cfg[name]}")
     try:
-        FbmConfig(hurst=cfg["hurst"], dim=cfg.get("dim", 1), seed=cfg["seed"], method=cfg["method"])
-        grid = make_grid(cfg["horizon"], cfg["n_main"], cfg.get("r", 0.0))
+        grid = hurst = None  # a read path's H is unknown: alpha only in (0, 1/2)
+        if not (cfg.get("input") or cfg.get("f_input") or cfg.get("g_input")):
+            hurst = cfg["hurst"]
+            FbmConfig(hurst=hurst, dim=cfg.get("dim", 1), seed=cfg["seed"], method=cfg["method"])
+            grid = make_grid(cfg["horizon"], cfg["n_main"], cfg.get("r", 0.0))
         if "alpha" in cfg:
             solver_keys = ("scheme", "lam", "picard_tol", "picard_max_iter")
             SolverConfig(
-                alpha=cfg["alpha"], grid=grid, hurst=cfg["hurst"],
+                alpha=cfg["alpha"], grid=grid, hurst=hurst,
                 **{key: cfg[key] for key in solver_keys if key in cfg},
             )
         if "delta" in cfg:

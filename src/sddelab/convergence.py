@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._singular import _magnitude
 from .fbm import FbmConfig, generate_fbm
 from .grids import InitialSegment, SamplePath, main_segment, make_grid
 from .norms import _check_alpha, alpha_infty_rows, check_alpha_window, lambda_alpha_rows
@@ -48,10 +49,12 @@ def default_delays(T: float = 1.0, k_range: Sequence[int] = range(2, 9)) -> tupl
 class ConvergenceReport:
     """Per-seed, per-delay distances between X and X^r, plus L^p summaries.
 
-    dist_alpha and dist_sup have shape (n_seeds, n_delays); lp_means and
-    lp_stderr have shape (len(p_list), n_delays).  dominating is the
-    per-seed max over delays of the alpha-norm distance (the finiteness
-    proxy for the dominated-convergence argument).
+    dist_alpha and dist_sup have shape (n_seeds, n_delays); dist_sup is the
+    sup over nodes of the euclidean distance, so SamplePath.sup_norm of
+    X - X^r bit for bit.  lp_means and lp_stderr have shape
+    (len(p_list), n_delays).  dominating is the per-seed max over delays
+    of the alpha-norm distance (the finiteness proxy for the
+    dominated-convergence argument).
     """
 
     delays: tuple[float, ...]
@@ -106,7 +109,7 @@ def _delay_distances(
     diff = X[:, :1, i0:] - X[:, 1:, i0:]
     del X  # the distance sweep below sets the study's memory peak
     da = alpha_infty_rows(diff, alpha, h)
-    ds = np.abs(diff).max(axis=(-2, -1))
+    ds = _magnitude(diff, -1).max(axis=-1)
     lams = lambda_alpha_rows(np.stack([g.values for g in drivers]), alpha, h)
     return da, ds, lams
 

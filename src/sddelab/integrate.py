@@ -37,6 +37,7 @@ __all__ = [
     "check_nr_bounds",
     "SigmaIncrementReport",
     "check_sigma_increment_bound",
+    "left_point_accumulate",
 ]
 
 
@@ -287,15 +288,13 @@ def check_sigma_increment_bound(
     fv, hv = fm.values[:, 0], hm.values[:, 0]
     sig_f, sig_h = (np.asarray(sigma(times[:, None], p.values), dtype=float) for p in (fm, hm))
     w = (sig_f - sig_h).reshape(fv.shape)
-    lhs = backward_increment_integrals(w, alpha + 1.0, step)
-    term1 = m0 * backward_increment_integrals(fv - hv, alpha + 1.0, step)
+    # two batches of two scalar rows, (2, n_nodes, 1); each row equals its own call
+    kappa = alpha + 1.0
+    lhs, i_gap = backward_increment_integrals(np.stack([w, fv - hv])[..., None], kappa, step)
+    i_f, i_h = backward_increment_integrals(np.stack([fv, hv])[..., None], kappa, step, delta=delta)
     gap = np.abs(fv - hv)
     term2 = (m0 / (beta - alpha)) * gap * times ** (beta - alpha)
-    term3 = mn * gap * (
-        backward_increment_integrals(fv, alpha + 1.0, step, delta=delta)
-        + backward_increment_integrals(hv, alpha + 1.0, step, delta=delta)
-    )
-    rhs = term1 + term2 + term3
+    rhs = m0 * i_gap + term2 + mn * gap * (i_f + i_h)
     slack = lhs - rhs
     return SigmaIncrementReport(
         alpha=alpha,

@@ -48,6 +48,7 @@ __all__ = [
     "a_priori_bound_report",
     "RegimeReport",
     "regime_report",
+    "eta_norm_alpha",
 ]
 
 SCHEMES = ("euler", "picard")

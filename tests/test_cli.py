@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from sddelab import cli, fbm
+from sddelab import cli, compute_norm_report, fbm, read_path_csv
 from sddelab.cli import main
 from sddelab.config import ConfigError, check_recorded_config, parse_config_file, resolve_config
 from sddelab.manifest import read_manifest, sha256_file, verify_outputs
@@ -146,6 +146,9 @@ REFUSED = [
     ["converge", "--k-min", 3, "--k-max", 5],
     ["converge", "--n-main", 100, "--k-max", 5],
     ["integrate", "--f-input", "only-one.csv"],
+    # a path input is refused before it is read, so the file need not exist
+    *[["norms", "--input", "unread.csv", *flags] for flags in (
+        ["--alpha", 0.5], ["--lam", 0.5], ["--alpha", 0.4, "--delta", 0.5])],
 ]
 
 
@@ -240,6 +243,25 @@ def test_norms_reads_an_external_path(tmp_path):
     out = tmp_path / "n"
     assert run(["norms", "--outdir", out, "--input", src / "path.csv"]) == 0
     assert (out / "norms.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--n-main", 1], ["--horizon", 0]])
+def test_a_path_input_reads_no_driver_key(tmp_path, extra):
+    # alpha = 0.2 is admissible for the H = 0.9 path, not for the default hurst
+    src = tmp_path / "src"
+    assert run(["fbm", "--outdir", src, "--hurst", 0.9, "--n-main", 256]) == 0
+    path_csv = src / "path.csv"
+    out = tmp_path / "n"
+    assert run(["norms", "--outdir", out, "--input", path_csv, "--alpha", 0.2, *extra]) == 0
+    row = (out / "norms.csv").read_text().splitlines()[1]
+    report = compute_norm_report(read_path_csv(path_csv), 0.2)
+    library = [report.alpha, report.lam, report.norm_alpha_infty, report.norm_holder,
+               report.norm_alpha_lambda, report.lambda_alpha, report.delta_r,
+               report.norm_1ma, report.norm_alpha_1]
+    assert [float(v) for v in row.split(",")] == library
+    check_recorded_config("norms", read_manifest(out)[0].config)
+    both = ["--f-input", path_csv, "--g-input", path_csv, "--alpha", 0.2, *extra]
+    assert run(["integrate", "--outdir", tmp_path / "i", *both]) == 0
 
 
 @pytest.mark.parametrize("dim,k", [(1, -700), (2, 990)])

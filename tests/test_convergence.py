@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sddelab import (
+    CoefficientSet,
     ConvergenceReport,
     FbmConfig,
     InitialSegment,
@@ -164,6 +165,29 @@ def test_hereditary_study_equals_per_path_solves(monkeypatch):
         dist_sup = [np.max(np.abs(ref - x)) for x in paths[1:]]
         assert np.array_equal(report.dist_alpha[i], dist_alpha)
         assert np.array_equal(report.dist_sup[i], dist_sup)
+
+
+def test_vector_study_sup_distance_is_the_euclidean_sup_norm():
+    # two components, so the largest single-component deviation reads less
+    coeffs = CoefficientSet(
+        sigma=lambda t, x: np.sin(x)[..., None] * np.eye(2),
+        drift=lambda t, window: -window.current,
+        d=2,
+        m=2,
+    )
+    eta_fn = lambda t: np.ones(2)  # noqa: E731
+    grid0 = make_grid(1.0, 256)
+    g = generate_fbm(grid0, FbmConfig(hurst=0.75, dim=2, seed=1))
+    report = pathwise_convergence_study(coeffs, eta_fn, g, ALPHA, DELAYS)
+    paths = []
+    for r in (0.0,) + DELAYS:
+        grid = make_grid(1.0, 256, r)
+        eta = InitialSegment.from_function(eta_fn, grid.r, grid.h)
+        cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+        paths.append(solve_euler(coeffs, eta, g, cfg).path.main_values())
+    dist_sup = [SamplePath(grid0, paths[0] - x).sup_norm() for x in paths[1:]]
+    assert np.array_equal(report.dist_sup[0], dist_sup)
+    assert np.max(np.abs(paths[0] - paths[1])) < dist_sup[0]
 
 
 def test_pruned_study_distances_sum_few_nodes(monkeypatch):
