@@ -20,7 +20,7 @@ from ._singular import _magnitude
 from .fbm import FbmConfig, generate_fbm
 from .grids import InitialSegment, SamplePath, main_segment, make_grid
 from .norms import _check_alpha, alpha_infty_rows, check_alpha_window, lambda_alpha_rows
-from .solver import CoefficientSet, _check_inputs, _euler_steps
+from .solver import CoefficientSet, euler_paths
 
 __all__ = [
     "ConvergenceReport",
@@ -86,27 +86,14 @@ def _delay_distances(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alpha-norm and sup distances of X vs each X^r, plus Lambda_alpha, per driver.
 
-    The drivers share one main grid.  X and every X^r of every driver are
-    stepped together as the rows of one (driver, delay) batch, with each
-    history right-aligned at the longest delay and padded on the left with
-    its first value, which no drift window functional can see; the
-    distances of the whole batch come from one kernel call and the
-    Lambda_alpha values from one sweep.
+    X and every X^r of every driver are stepped together by euler_paths,
+    one (driver, delay) batch; the distances of the whole batch come from
+    one kernel call and the Lambda_alpha values from one sweep.
     """
-    grid0 = drivers[0].grid
-    T, n_main, h = grid0.t_end, grid0.n_main, grid0.h
-    grids = [grid0] + [make_grid(T, n_main, r) for r in delays]
-    lags = np.array([grid.n_history for grid in grids])
-    longest = grids[int(np.argmax(lags))]
-    i0 = longest.n_history
-    X = np.empty((len(drivers), len(grids), longest.n_nodes, coeffs.d))
-    for row, grid in enumerate(grids):
-        eta = InitialSegment.from_function(eta_fn, grid.r, h)
-        _check_inputs(coeffs, eta, drivers[0], grid)
-        X[:, row, : i0 + 1] = np.pad(eta.values, ((i0 - grid.n_history, 0), (0, 0)), "edge")
-    dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
-    _euler_steps(coeffs, X, lags, longest.times(), dg, h)
-    diff = X[:, :1, i0:] - X[:, 1:, i0:]
+    h, n_main = drivers[0].grid.h, drivers[0].grid.n_main
+    etas = [InitialSegment.from_function(eta_fn, r, h) for r in (0.0,) + tuple(delays)]
+    X = euler_paths(coeffs, etas, drivers)
+    diff = X[:, :1, -n_main - 1 :] - X[:, 1:, -n_main - 1 :]
     del X  # the distance sweep below sets the study's memory peak
     da = alpha_infty_rows(diff, alpha, h)
     ds = _magnitude(diff, -1).max(axis=-1)

@@ -124,9 +124,9 @@ class PathWindow:
     front value `current` and the componentwise running max `sup()`, both
     read-only and per front; sup() is reduced once, when the window is
     built, and Euler moves a one-front window on with one elementwise max
-    per step.  The window starts at node 0 of every row, so a row with a
-    shorter history is padded with copies of its first value, which
-    neither functional can see.
+    per step.  The window starts at node 0 of every row; solver.euler_paths,
+    the one batch that pads, fills the nodes before a shorter history with
+    copies of its first value, which neither functional can see.
     """
 
     __slots__ = ("_values", "_upto", "_sup", "_sup_view")
@@ -213,8 +213,10 @@ def check_nr_bounds(f: SamplePath, g: SamplePath, alpha: float) -> NrBoundsRepor
     G = left_point_accumulate(fm.values[:, :, None], gm.values)[:, 0]
 
     # sup inequality: |G(t)| <= Lambda ( int |f| s^-a + a * double increment )
+    # E of f and the alpha-integral of G, one (2, n_nodes, 1) batch; each
+    # row equals its own call
+    E, lhs2 = backward_increment_integrals(np.stack([fv, G])[..., None], alpha + 1.0, h)
     A = cumulative_from_zero(np.abs(fv), alpha, h)
-    E = backward_increment_integrals(fv, alpha + 1.0, h)
     B = np.concatenate(([0.0], np.cumsum((E[1:] + E[:-1]) * 0.5 * h)))
     rhs_sup = lam * (A + alpha * B)
     slack_sup = np.abs(G) - rhs_sup
@@ -222,7 +224,6 @@ def check_nr_bounds(f: SamplePath, g: SamplePath, alpha: float) -> NrBoundsRepor
     nviol = int(np.sum(slack_sup > quadrature_slack(rhs_sup)))
 
     # alpha-integral inequality: fit its free constant
-    lhs2 = backward_increment_integrals(G, alpha + 1.0, h)
     t1 = backward_profile_integrals(np.abs(fv), 2.0 * alpha, h)
     t2 = iterated_increment_integrals(fv, alpha, h)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,7 +7,8 @@ The equation on [0, T] with history eta on [-r, 0] reads
 with the stochastic term a pathwise Young integral against the driver g.
 Euler is the production scheme (explicit because the sigma argument lags
 by r); Picard iterates the integral operator directly and serves as the
-fidelity and uniqueness instrument.
+fidelity and uniqueness instrument.  euler_paths steps every Euler path,
+as a batch of drivers times initial segments; solve_euler is its batch of one.
 
 Both schemes discretize the integrals with left-point sums on the same
 grid, so the discrete Picard operator is causal: its unique fixed point
@@ -36,6 +37,7 @@ __all__ = [
     "phi_gamma_alpha",
     "contraction_lambda",
     "stopping_lambda",
+    "euler_paths",
     "solve_euler",
     "solve_picard",
     "solve",
@@ -81,7 +83,8 @@ class CoefficientSet:
     PathWindow: window.current and the running max window.sup(), (..., d)
     per front and row; a pointwise drift b(t, X(t)) reads only current.
     It is called once per Picard iteration (all main fronts), once per
-    drift_integral call and once per Euler step (one advancing window).
+    drift_integral call and once per Euler step of euler_paths (one
+    advancing window over the whole batch).
     The constants:
 
     m0    space-Lipschitz and time-Hoelder constant of sigma
@@ -229,19 +232,24 @@ def _check_inputs(
         raise GridError(
             f"initial segment has {eta.n_steps} steps but the grid history has {grid.n_history}"
         )
-    if not same_step(grid.h, eta.h):
-        raise GridError(f"initial segment step {eta.h} does not match grid step {grid.h}")
-    if eta.dim != coeffs.d:
-        raise GridError(f"initial segment dim {eta.dim} != coefficient dim {coeffs.d}")
-    require_same_grid(grid.main_only(), g.grid)
-    if g.dim != coeffs.m:
-        raise GridError(f"driver dim {g.dim} != coefficient driver dim {coeffs.m}")
+    _check_batch(coeffs, [eta], [g], grid.main_only())
 
 
-def _history_array(eta: InitialSegment, grid: TimeGrid) -> np.ndarray:
-    X = np.empty((grid.n_nodes, eta.dim))
-    X[: grid.n_history + 1] = eta.values
-    return X
+def _check_batch(
+    coeffs: CoefficientSet,
+    etas: Sequence[InitialSegment],
+    drivers: Sequence[SamplePath],
+    main: TimeGrid,
+) -> None:
+    for eta in etas:
+        if not same_step(main.h, eta.h):
+            raise GridError(f"initial segment step {eta.h} does not match grid step {main.h}")
+        if eta.dim != coeffs.d:
+            raise GridError(f"initial segment dim {eta.dim} != coefficient dim {coeffs.d}")
+    for g in drivers:
+        require_same_grid(main, g.grid)
+        if g.dim != coeffs.m:
+            raise GridError(f"driver dim {g.dim} != coefficient driver dim {coeffs.m}")
 
 
 def _finish(
@@ -281,31 +289,38 @@ def _finish(
     )
 
 
-def _euler_steps(
+def euler_paths(
     coeffs: CoefficientSet,
-    X: np.ndarray,
-    lags: np.ndarray,
-    times: np.ndarray,
-    dg: np.ndarray,
-    h: float,
-) -> None:
-    """Advance every row of X[..., nodes, d] through the Euler recursion, in place.
+    etas: Sequence[InitialSegment],
+    drivers: Sequence[SamplePath],
+) -> np.ndarray:
+    """Explicit Euler paths of every (driver, initial segment) pair, as one batch.
 
-    Rows hold their histories right-aligned at the shared zero index
-    i0 = nodes - 1 - n_main; a row with lag history steps reads its sigma
-    argument at node k - lag.  dg[..., j, :], the driver increment of step
-    j, broadcasts against the rows.  The one-path operation order is kept,
-    so each row equals its own batch-of-one solve bit for bit.  The drift
-    reads every row through one PathWindow from node 0, moved on per step,
-    so a row with a shorter history must pad the nodes before it with its
-    first history value; no window functional changes under that padding.
+    X(t_{k+1}) = X(t_k) + b(t_k, X|_[-r, t_k]) h + sigma(t_k, X(t_k - r)) dg_k,
+    r the segment's length.  The drivers share one main grid [0, T]; the
+    segments have any number of its steps.  Row X[b, e] of the returned
+    (len(drivers), len(etas), nodes, d) array holds driver b's path from
+    segment e in its last etas[e].n_steps + n_main + 1 nodes, history
+    copied bit-exactly.  This is the one batch that pads: the nodes before
+    a shorter history repeat its first value, which no caller reads and no
+    PathWindow functional sees.  Each row equals its batch-of-one solve
+    bit for bit, since the one-path operation order is kept.
     """
-    batch, (nodes, d) = X.shape[:-2], X.shape[-2:]
-    n = dg.shape[-2]
-    i0 = nodes - 1 - n
+    main = drivers[0].grid.main_only()
+    _check_batch(coeffs, etas, drivers, main)
+    n, h, d = main.n_main, main.h, coeffs.d
+    lags = np.array([eta.n_steps for eta in etas])
+    i0 = int(lags.max())
+    nodes = i0 + n + 1
+    times = TimeGrid(-i0 * h, main.t_end, i0, n, h).times()
+    batch = (len(drivers), len(etas))
+    X = np.empty(batch + (nodes, d))
+    for e, eta in enumerate(etas):
+        X[:, e, : i0 + 1] = np.pad(eta.values, ((i0 - eta.n_steps, 0), (0, 0)), "edge")
+    dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
     lags = np.broadcast_to(lags, batch)
     # row-major node number of each row's sigma argument, less k
-    lag_nodes = np.arange(X.size // (nodes * d)).reshape(batch) * nodes - lags
+    lag_nodes = np.arange(len(drivers) * len(etas)).reshape(batch) * nodes - lags
     steps = np.moveaxis(dg, -2, 0)[..., None]
     sigma_shape = batch + (d, coeffs.m)
     drift_fn, sigma_fn = coeffs.drift, coeffs.sigma
@@ -323,24 +338,16 @@ def _euler_steps(
             row = tuple(np.argwhere(~np.isfinite(new).all(axis=-1))[0])
             raise DivergenceError(k + 1 - i0 + int(lags[row]), float(times[k + 1]))
         window._advance()
+    return X
 
 
 def solve_euler(
     coeffs: CoefficientSet, eta: InitialSegment, g: SamplePath, cfg: SolverConfig
 ) -> SolutionBundle:
-    """Explicit Euler recursion; the sigma argument is read r behind the front.
-
-    X(t_{k+1}) = X(t_k) + b(t_k, X|_[-r, t_k]) h + sigma(t_k, X(t_k - r)) dg_k.
-    The history on [-r, 0] is copied from eta bit-exactly.
-    """
+    """Explicit Euler recursion on cfg.grid: euler_paths for one driver and one segment."""
     grid = cfg.grid
     _check_inputs(coeffs, eta, g, grid)
-    X = _history_array(eta, grid)
-    _euler_steps(
-        coeffs, X[None], np.array([grid.n_history]), grid.times(),
-        np.diff(g.values, axis=0), grid.h,
-    )
-    path = SamplePath(grid, X, meta={"scheme": "euler"})
+    path = SamplePath(grid, euler_paths(coeffs, [eta], [g])[0, 0], meta={"scheme": "euler"})
     return _finish(coeffs, eta, g, cfg, path, "euler")
 
 
@@ -389,8 +396,7 @@ def solve_picard(
         ecfg = replace(cfg, scheme="euler", compute_report=False)
         y = solve_euler(coeffs, eta, g, ecfg).path.values.copy()
     else:
-        y = _history_array(eta, grid)
-        y[grid.index_of_zero :] = eta.value_at_zero()
+        y = np.pad(eta.values, ((0, grid.n_main), (0, 0)), "edge")
     residuals: list[float] = []
     converged = False
     for iterations in range(1, cfg.picard_max_iter + 1):

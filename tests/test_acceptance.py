@@ -22,6 +22,7 @@ from sddelab import (
     default_delays,
     delta_r,
     eta_preset,
+    euler_paths,
     evaluate_convergence_gates,
     fbm_covariance,
     fernique_statistics,
@@ -136,16 +137,18 @@ def test_criterion_4_rough_chain_rule_converges():
 
 def test_criterion_5_solution_paths_satisfy_the_stated_bounds():
     # for every preset and 100 drivers: the integral-operator bounds and
-    # the composed sigma-increment inequality hold at every node
+    # the composed sigma-increment inequality hold at every node; each
+    # preset steps the 100 drivers as one Euler batch
     grid = make_grid(1.0, 256, 0.25)
     eta = InitialSegment.from_function(eta_preset("constant"), grid.r, grid.h)
-    cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
+    drivers = [
+        generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, seed=seed)) for seed in range(100)
+    ]
     total_nr = total_sigma = 0
     for name in ("additive", "linear", "sine", "hereditary-sup"):
         coeffs = coefficient_preset(name)
-        for seed in range(100):
-            g = generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, seed=seed))
-            sol = solve_euler(coeffs, eta, g, cfg).path
+        for g, values in zip(drivers, euler_paths(coeffs, [eta], drivers)[:, 0]):
+            sol = SamplePath(grid, values)
             total_nr += check_nr_bounds(sol, g, ALPHA).n_violations_sup
             total_sigma += check_sigma_increment_bound(
                 coeffs.sigma, sol, shift_by_delay(sol, grid.r), ALPHA,

@@ -20,6 +20,7 @@ from sddelab import (
     contraction_lambda,
     eta_norm_alpha,
     eta_preset,
+    euler_paths,
     generate_fbm,
     make_grid,
     norm_alpha_lambda,
@@ -31,7 +32,6 @@ from sddelab import (
     stopping_lambda,
     validate_hypotheses,
 )
-from sddelab.solver import _euler_steps
 
 ALPHA = 0.3
 HURST = 0.75
@@ -157,12 +157,26 @@ def test_hereditary_rows_step_together_as_their_own_solves():
     eta = parts(grid, "ramp")
     cfg = SolverConfig(alpha=ALPHA, grid=grid, compute_report=False)
     drivers = [driver_on(grid, seed=s) for s in range(3)]
-    X = np.empty((3, grid.n_nodes, 1))
-    X[:, : grid.n_history + 1] = eta.values
-    dg = np.stack([np.diff(g.values, axis=0) for g in drivers])
-    _euler_steps(coeffs, X, np.array([grid.n_history]), grid.times(), dg, grid.h)
-    for row, g in zip(X, drivers):
+    X = euler_paths(coeffs, [eta], drivers)
+    assert X.shape == (3, 1, grid.n_nodes, 1)
+    for row, g in zip(X[:, 0], drivers):
         assert np.array_equal(row, solve_euler(coeffs, eta, g, cfg).path.values)
+
+
+def test_euler_paths_refuses_a_driver_or_segment_off_the_main_grid():
+    grid = make_grid(1.0, 128, 0.25)
+    coeffs = coefficient_preset("sine")
+    eta, g = parts(grid), driver_on(grid)
+    other_grid = driver_on(make_grid(1.0, 64, 0.25))
+    two_dim = generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, dim=2, seed=0))
+    other_step = InitialSegment(2 * grid.h, eta.values)
+    for etas, drivers, match in (
+        ([eta], [g, other_grid], "main-segment grid"),
+        ([eta], [g, two_dim], "driver dim"),
+        ([eta, other_step], [g], "initial segment step"),
+    ):
+        with pytest.raises(GridError, match=match):
+            euler_paths(coeffs, etas, drivers)
 
 
 def test_history_step_must_match_the_grid_step_to_rounding():
@@ -337,11 +351,9 @@ def test_batched_divergence_names_the_exploding_row():
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as single:
         solve_euler(QUADRATIC_BLOWUP, eta, g, cfg)
 
-    X = np.ones((3, grid.n_nodes, 1))
-    X[1] = 1e3
-    dg = np.zeros((n, 1))
+    ones = InitialSegment.from_function(lambda t: 1.0, 0.0, grid.h)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as batch:
-        _euler_steps(QUADRATIC_BLOWUP, X, np.array([0, lag, 0]), grid.times(), dg, grid.h)
+        euler_paths(QUADRATIC_BLOWUP, [ones, eta, ones], [g])
     assert math.isfinite(batch.value.time)
     assert (batch.value.node, batch.value.time) == (single.value.node, single.value.time)
 
