@@ -8,6 +8,14 @@ cell.  For kappa >= 1 the anchor cell is integrable because phi vanishes
 at the anchor (phi is an increment of the path there), which the product
 rule preserves exactly.
 
+The kernels take one row layout: values (..., n_nodes, d), a batch of
+paths on one grid (a bare (n_nodes,) array is one scalar path), and
+profiles (..., n_nodes); results are (..., n_nodes), or (...) for a sup.
+Each runs over cache-sized blocks of rows (_row_blocks), and a row's
+arithmetic does not depend on its block, so a batch equals its rows'
+separate calls bit for bit.  Only holder_seminorm and lag_sups take one
+(n_nodes, d) path.
+
 Cell weights are expressed through the two hat functions on each cell, so
 every discrete integral is a nonnegative combination of nodal phi values.
 That makes nodewise inequalities between integrands carry over to the
@@ -677,49 +685,63 @@ def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
 
 
 def backward_profile_integrals(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:
-    """I[j] = integral over s in [t_0, t_j] of p(s) (t_j - s)^-kappa ds.
+    """I[..., j] = integral over s in [t_0, t_j] of p(s) (t_j - s)^-kappa ds.
 
-    The profile does not vanish at the anchor, so this requires kappa < 1.
+    profile and the result have shape (..., n_nodes).  The profile does
+    not vanish at the anchor, so this requires kappa < 1.
     """
     if kappa >= 1.0:
         raise ValueError("profile integrals need kappa < 1 (no anchor zero)")
-    p = np.asarray(profile, dtype=float)
-    N = len(p) - 1
-    out = np.zeros(N + 1)
-    if N >= 1:
-        P, Q = hat_weights(kappa, h, N + 1)
-        W = np.concatenate(([P[1]], Q[1:-1] + P[2:]))
-        out[1:] = np.convolve(p, W)[1 : N + 1] - P[2:] * p[0]
-    return out
+    rows, batch = _as_rows(np.expand_dims(profile, -1))
+    n_nodes = rows.shape[-1]
+    P, Q = hat_weights(kappa, h, n_nodes)
+    # W[l] weights lag l; the farthest node carries only Q, so its P comes off below
+    W = np.concatenate((P[1:2], Q[1:-1] + P[2:]))
+    out = np.zeros(rows.shape)
+    for blk in _row_blocks(len(rows), rows[:1].nbytes):
+        p, acc = rows[blk], out[blk]
+        for l in range(n_nodes):
+            acc[:, l:] += W[l] * p[:, : n_nodes - l]
+        acc[:, 1:] -= P[2:] * p[:, :1]
+        acc[:, 0] = 0.0
+    return out.reshape(batch + (n_nodes,))
 
 
 def iterated_increment_integrals(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
-    """I[j] = integral over s in [t_0, t_j] of Psi(s, t_j) (t_j - s)^-alpha ds.
+    """I[..., j] = integral over s in [t_0, t_j] of Psi(s, t_j) (t_j - s)^-alpha ds.
 
-    Psi(s, t) integrates |f(u) - f(s)| (u - s)^(-alpha-1) over u in [s, t]
-    for a scalar path f; the sweep runs by lag in O(n_nodes) memory.
+    Psi(s, t) integrates |f(u) - f(s)| (u - s)^(-alpha-1) over u in [s, t],
+    with the euclidean magnitude.  values and the result have the layouts
+    of backward_increment_integrals; the sweep runs by lag in O(n_nodes)
+    memory per row.
     """
-    v = np.asarray(values, dtype=float)
-    P, Q = hat_weights(alpha, h, len(v))
-    out, psi0 = np.zeros(len(v)), np.zeros(len(v))  # psi0[j] = Psi(t_0, t_j)
-    for L, _, K in _forward_lags(v[None], alpha + 1.0, h, signed=False):
-        out[L:] += (Q[L] + P[L + 1]) * K[0]
-        psi0[L] = K[0, 0]
-    out -= P[1:] * psi0
-    return out
+    rows, batch = _as_rows(values)
+    n_nodes = rows.shape[-1]
+    P, Q = hat_weights(alpha, h, n_nodes)
+    out = np.zeros((len(rows), n_nodes))
+    for blk in _row_blocks(len(rows), rows[:1].nbytes):
+        acc = out[blk]
+        psi0 = np.zeros(acc.shape)  # psi0[:, j] = Psi(t_0, t_j)
+        for L, _, K in _forward_lags(rows[blk], alpha + 1.0, h, signed=False):
+            acc[:, L:] += (Q[L] + P[L + 1]) * K
+            psi0[:, L] = K[:, 0]
+        acc -= P[1:] * psi0
+    return out.reshape(batch + (n_nodes,))
 
 
 def cumulative_from_zero(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:
-    """J[j] = integral over s in [t_0, t_j] of p(s) (s - t_0)^-kappa ds.
+    """J[..., j] = integral over s in [t_0, t_j] of p(s) (s - t_0)^-kappa ds.
 
-    Kernel anchored at the segment start; requires kappa < 1.
+    profile and the result have shape (..., n_nodes).  The kernel is
+    anchored at the segment start; requires kappa < 1.
     """
     if kappa >= 1.0:
         raise ValueError("start-anchored integrals need kappa < 1")
-    p = np.asarray(profile, dtype=float)
-    N = len(p) - 1
-    if N < 1:
-        return np.zeros(max(N + 1, 1))
-    P, Q = hat_weights(kappa, h, N)
-    cells = P[1:] * p[:-1] + Q[1:] * p[1:]
-    return np.concatenate(([0.0], np.cumsum(cells)))
+    rows, batch = _as_rows(np.expand_dims(profile, -1))
+    n_nodes = rows.shape[-1]
+    P, Q = hat_weights(kappa, h, n_nodes - 1)
+    out = np.zeros(rows.shape)
+    for blk in _row_blocks(len(rows), rows[:1].nbytes):
+        p = rows[blk]
+        np.cumsum(P[1:] * p[:, :-1] + Q[1:] * p[:, 1:], axis=1, out=out[blk, 1:])
+    return out.reshape(batch + (n_nodes,))

@@ -9,6 +9,9 @@ check_nr_bounds and check_sigma_increment_bound verify the two
 compensated-integral inequalities and the sigma-increment estimate that
 drive the solvability theory, discretized with the same product-linear
 quadrature on both sides so nodewise domination carries over exactly.
+Each is the batch of one of its batch audit, nr_bounds_rows and
+sigma_increment_rows, which audit a batch of scalar paths on one grid
+and report per path.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from ._singular import (
     quadrature_slack,
 )
 from .grids import GridMismatchError, SamplePath, main_segment, require_same_grid
-from .norms import lambda_alpha, norm_alpha_1
+from .norms import lambda_alpha, lambda_alpha_rows, norm_alpha_1
 
 __all__ = [
     "BoundCertificate",
@@ -34,8 +37,10 @@ __all__ = [
     "young_integral",
     "drift_integral",
     "NrBoundsReport",
+    "nr_bounds_rows",
     "check_nr_bounds",
     "SigmaIncrementReport",
+    "sigma_increment_rows",
     "check_sigma_increment_bound",
     "left_point_accumulate",
 ]
@@ -197,47 +202,63 @@ class NrBoundsReport:
         return self.n_violations_sup == 0
 
 
+def _scalar_rows(f: np.ndarray, g: np.ndarray, audit: str) -> tuple[np.ndarray, np.ndarray]:
+    """(n_paths, n_nodes) rows of two batches of scalar paths of one shape (..., n_nodes, 1)."""
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    if f.shape != g.shape or f.ndim < 2 or f.shape[-1] != 1:
+        raise GridMismatchError(f"{audit} expects scalar paths of one shape: {f.shape}, {g.shape}")
+    return f.reshape(-1, f.shape[-2]), g.reshape(-1, g.shape[-2])
+
+
+def nr_bounds_rows(f: np.ndarray, g: np.ndarray, alpha: float, h: float) -> list[NrBoundsReport]:
+    """check_nr_bounds of every path of a batch against its own driver.
+
+    f and g are scalar main-segment values of one shape (..., n_nodes, 1)
+    on one [0, T] grid of step h.  Returns one report per path, in the
+    batch's C order; each equals the path's own check_nr_bounds bit for
+    bit.  A node whose slack is not within quadrature_slack counts as a
+    violation, a NaN slack included, and a path or driver with a
+    non-finite node fits c_alpha = NaN.
+    """
+    fv, gv = _scalar_rows(f, g, "nr_bounds_rows")
+    lam = lambda_alpha_rows(gv[..., None], alpha, h)[:, None]
+    G = np.zeros(fv.shape)  # the left-point Young integral of f against g
+    np.cumsum(fv[:, :-1] * np.diff(gv, axis=1), axis=1, out=G[:, 1:])
+
+    # sup inequality: |G(t)| <= Lambda ( int |f| s^-a + a * double increment )
+    E, lhs2 = backward_increment_integrals(np.stack([fv, G])[..., None], alpha + 1.0, h)
+    A = cumulative_from_zero(np.abs(fv), alpha, h)
+    B = np.zeros(fv.shape)
+    np.cumsum((E[:, 1:] + E[:, :-1]) * 0.5 * h, axis=1, out=B[:, 1:])
+    rhs_sup = lam * (A + alpha * B)
+    slack_sup = np.abs(G) - rhs_sup
+    nviol = np.count_nonzero(~(slack_sup <= quadrature_slack(rhs_sup)), axis=1)
+
+    # alpha-integral inequality: fit its free constant
+    t1 = backward_profile_integrals(np.abs(fv), 2.0 * alpha, h)
+    t2 = iterated_increment_integrals(fv[..., None], alpha, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (lhs2 - lam * t2) / (lam * t1)
+    fitted = np.max(c, axis=1, initial=0.0, where=np.isfinite(c))
+    fitted[~(np.isfinite(fv).all(axis=1) & np.isfinite(gv).all(axis=1))] = np.nan
+    cols = lam[:, 0].tolist(), np.max(slack_sup, axis=1).tolist(), nviol.tolist(), fitted.tolist()
+    return [
+        NrBoundsReport(alpha, lam_k, fv.shape[1], worst, n, c_k)
+        for lam_k, worst, n, c_k in zip(*cols)
+    ]
+
+
 def check_nr_bounds(f: SamplePath, g: SamplePath, alpha: float) -> NrBoundsReport:
     """Audit |G(f)(t)| and its alpha-integral against the driver bounds.
 
     Scalar f and g on a shared [0, T] grid.  G(f) is the left-point
-    Young integral of f against g.
+    Young integral of f against g.  The batch of one of nr_bounds_rows.
     """
     fm, gm = main_segment(f), main_segment(g)
     require_same_grid(fm.grid, gm.grid)
     if fm.dim != 1 or gm.dim != 1:
         raise GridMismatchError("check_nr_bounds expects scalar paths")
-    h = fm.grid.h
-    fv = fm.values[:, 0]
-    lam = lambda_alpha(gm, alpha)
-    G = left_point_accumulate(fm.values[:, :, None], gm.values)[:, 0]
-
-    # sup inequality: |G(t)| <= Lambda ( int |f| s^-a + a * double increment )
-    # E of f and the alpha-integral of G, one (2, n_nodes, 1) batch; each
-    # row equals its own call
-    E, lhs2 = backward_increment_integrals(np.stack([fv, G])[..., None], alpha + 1.0, h)
-    A = cumulative_from_zero(np.abs(fv), alpha, h)
-    B = np.concatenate(([0.0], np.cumsum((E[1:] + E[:-1]) * 0.5 * h)))
-    rhs_sup = lam * (A + alpha * B)
-    slack_sup = np.abs(G) - rhs_sup
-    worst = float(np.max(slack_sup))
-    nviol = int(np.sum(slack_sup > quadrature_slack(rhs_sup)))
-
-    # alpha-integral inequality: fit its free constant
-    t1 = backward_profile_integrals(np.abs(fv), 2.0 * alpha, h)
-    t2 = iterated_increment_integrals(fv, alpha, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (lhs2 - lam * t2) / (lam * t1)
-    c = c[np.isfinite(c)]
-    fitted = float(np.max(c, initial=0.0))
-    return NrBoundsReport(
-        alpha=alpha,
-        lambda_alpha=lam,
-        n_nodes=fm.grid.n_main + 1,
-        worst_slack_sup=worst,
-        n_violations_sup=nviol,
-        fitted_c_alpha=max(fitted, 0.0),
-    )
+    return nr_bounds_rows(fm.values, gm.values, alpha, fm.grid.h)[0]
 
 
 @dataclass(frozen=True)
@@ -253,6 +274,49 @@ class SigmaIncrementReport:
     @property
     def ok(self) -> bool:
         return self.n_violations == 0
+
+
+def sigma_increment_rows(
+    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: np.ndarray,
+    h_path: np.ndarray,
+    step: float,
+    alpha: float,
+    beta: float,
+    delta: float,
+    m0: float,
+    mn: float,
+) -> list[SigmaIncrementReport]:
+    """check_sigma_increment_bound of every pair of paths of two batches.
+
+    f and h_path are scalar main-segment values of one shape
+    (..., n_nodes, 1) on one [0, T] grid of step `step`, and sigma is
+    called once per batch, over the column of node times.  Returns one
+    report per pair, in the batch's C order; each equals the pair's own
+    check_sigma_increment_bound bit for bit.  A node whose slack is not
+    within quadrature_slack counts as a violation, a NaN slack included.
+    """
+    if not alpha < beta:
+        raise ValueError(f"needs alpha < beta, got alpha={alpha}, beta={beta}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    fv, hv = _scalar_rows(f, h_path, "sigma_increment_rows")
+    times = np.arange(fv.shape[1]) * step
+    sig_f, sig_h = (np.asarray(sigma(times[:, None], v[..., None]), dtype=float) for v in (fv, hv))
+    w = (sig_f - sig_h).reshape(fv.shape)
+    # two batches of scalar rows, (2, n_paths, n_nodes, 1); each row equals its own call
+    kappa = alpha + 1.0
+    lhs, i_gap = backward_increment_integrals(np.stack([w, fv - hv])[..., None], kappa, step)
+    i_f, i_h = backward_increment_integrals(np.stack([fv, hv])[..., None], kappa, step, delta=delta)
+    gap = np.abs(fv - hv)
+    term2 = (m0 / (beta - alpha)) * gap * times ** (beta - alpha)
+    rhs = m0 * i_gap + term2 + mn * gap * (i_f + i_h)
+    slack = lhs - rhs
+    nviol = np.count_nonzero(~(slack <= quadrature_slack(rhs)), axis=1)
+    return [
+        SigmaIncrementReport(alpha, beta, delta, worst, n)
+        for worst, n in zip(np.max(slack, axis=1).tolist(), nviol.tolist())
+    ]
 
 
 def check_sigma_increment_bound(
@@ -275,32 +339,12 @@ def check_sigma_increment_bound(
       m0 * (same integral of f - h)
       + m0/(beta-alpha) * |f(t)-h(t)| * t^(beta-alpha)
       + mn * |f(t)-h(t)| * (delta-increment integrals of f and of h).
+    The batch of one of sigma_increment_rows.
     """
-    if not alpha < beta:
-        raise ValueError(f"needs alpha < beta, got alpha={alpha}, beta={beta}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     fm, hm = main_segment(f), main_segment(h_path)
     require_same_grid(fm.grid, hm.grid)
     if fm.dim != 1 or hm.dim != 1:
         raise GridMismatchError("check_sigma_increment_bound expects scalar paths")
-    step = fm.grid.h
-    times = fm.times()
-    fv, hv = fm.values[:, 0], hm.values[:, 0]
-    sig_f, sig_h = (np.asarray(sigma(times[:, None], p.values), dtype=float) for p in (fm, hm))
-    w = (sig_f - sig_h).reshape(fv.shape)
-    # two batches of two scalar rows, (2, n_nodes, 1); each row equals its own call
-    kappa = alpha + 1.0
-    lhs, i_gap = backward_increment_integrals(np.stack([w, fv - hv])[..., None], kappa, step)
-    i_f, i_h = backward_increment_integrals(np.stack([fv, hv])[..., None], kappa, step, delta=delta)
-    gap = np.abs(fv - hv)
-    term2 = (m0 / (beta - alpha)) * gap * times ** (beta - alpha)
-    rhs = m0 * i_gap + term2 + mn * gap * (i_f + i_h)
-    slack = lhs - rhs
-    return SigmaIncrementReport(
-        alpha=alpha,
-        beta=beta,
-        delta=delta,
-        worst_slack=float(np.max(slack)),
-        n_violations=int(np.sum(slack > quadrature_slack(rhs))),
-    )
+    return sigma_increment_rows(
+        sigma, fm.values, hm.values, fm.grid.h, alpha, beta, delta, m0, mn
+    )[0]

@@ -16,8 +16,6 @@ from sddelab import (
     InitialSegment,
     SamplePath,
     SolverConfig,
-    check_nr_bounds,
-    check_sigma_increment_bound,
     coefficient_preset,
     default_delays,
     delta_r,
@@ -29,15 +27,18 @@ from sddelab import (
     generate_fbm,
     lambda_alpha,
     lp_convergence_study,
+    main_segment,
     make_grid,
     norm_1ma_infty_T,
     norm_alpha_1,
     norm_alpha_infty,
     norm_alpha_lambda,
     norm_holder,
+    nr_bounds_rows,
     rate_fit,
     sample_fbm_batch,
     shift_by_delay,
+    sigma_increment_rows,
     solve_euler,
     solve_picard,
     young_integral,
@@ -138,22 +139,26 @@ def test_criterion_4_rough_chain_rule_converges():
 def test_criterion_5_solution_paths_satisfy_the_stated_bounds():
     # for every preset and 100 drivers: the integral-operator bounds and
     # the composed sigma-increment inequality hold at every node; each
-    # preset steps the 100 drivers as one Euler batch
+    # preset steps the 100 drivers as one Euler batch and audits the batch
+    # in one call per audit
     grid = make_grid(1.0, 256, 0.25)
     eta = InitialSegment.from_function(eta_preset("constant"), grid.r, grid.h)
     drivers = [
         generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, seed=seed)) for seed in range(100)
     ]
+    driver_rows = np.stack([g.values for g in drivers])
     total_nr = total_sigma = 0
     for name in ("additive", "linear", "sine", "hereditary-sup"):
         coeffs = coefficient_preset(name)
-        for g, values in zip(drivers, euler_paths(coeffs, [eta], drivers)[:, 0]):
-            sol = SamplePath(grid, values)
-            total_nr += check_nr_bounds(sol, g, ALPHA).n_violations_sup
-            total_sigma += check_sigma_increment_bound(
-                coeffs.sigma, sol, shift_by_delay(sol, grid.r), ALPHA,
-                beta=coeffs.beta, delta=coeffs.delta, m0=coeffs.m0, mn=coeffs.mn,
-            ).n_violations
+        sols = [SamplePath(grid, values) for values in euler_paths(coeffs, [eta], drivers)[:, 0]]
+        main = np.stack([main_segment(sol).values for sol in sols])
+        delayed = np.stack([shift_by_delay(sol, grid.r).values for sol in sols])
+        nr_reports = nr_bounds_rows(main, driver_rows, ALPHA, grid.h)
+        total_nr += sum(rep.n_violations_sup for rep in nr_reports)
+        total_sigma += sum(rep.n_violations for rep in sigma_increment_rows(
+            coeffs.sigma, main, delayed, grid.h, ALPHA,
+            beta=coeffs.beta, delta=coeffs.delta, m0=coeffs.m0, mn=coeffs.mn,
+        ))
     assert total_nr == 0, f"{total_nr} integral-bound violations"
     assert total_sigma == 0, f"{total_sigma} sigma-increment violations"
 

@@ -1,5 +1,7 @@
 """Delay-to-zero study: distances, rate fits, gates, driver statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,38 @@ def test_gates_pass_on_a_clean_first_order_report():
     assert gates.slope_floor == pytest.approx(1.0 - 2.0 * ALPHA - 0.15)
     assert set(gates.lp_ratios) == {1.0, 2.0}
     assert "ok" in gates.describe()
+
+
+@pytest.mark.parametrize("row,p", [(0, 1.0), (1, 2.0)])
+def test_lp_gate_passes_a_4x_shrink_and_fails_just_below(row, p):
+    rep = synthetic_report(1.0)  # otherwise clean: every seed decreases, slope 1
+    for shrink, ok in ((4.0, True), (np.nextafter(4.0, 0.0), False)):
+        means = rep.lp_means.copy()
+        means[row] = np.linspace(shrink, 1.0, len(DELAYS))
+        gates = evaluate_convergence_gates(replace(rep, lp_means=means))
+        assert gates.lp_ratios[p] == shrink
+        assert gates.lp_ok is ok
+        assert gates.ok is ok
+
+
+def test_endpoint_gate_passes_95_percent_of_seeds_and_fails_94():
+    rep = synthetic_report(1.0, n_seeds=100)
+    for n_down, ok in ((95, True), (94, False)):
+        dist = rep.dist_alpha.copy()
+        dist[n_down:] = dist[n_down:, ::-1]  # these seeds grow as the delay shrinks
+        gates = evaluate_convergence_gates(replace(rep, dist_alpha=dist))
+        assert gates.endpoint_fraction == n_down / 100
+        assert gates.endpoint_ok is ok
+        assert gates.ok is ok
+
+
+@pytest.mark.parametrize("alpha,floor", [(0.3, 0.25), (0.45, -0.05)])
+def test_slope_gate_floor_is_one_minus_two_alpha_minus_0_15(alpha, floor):
+    for rate, ok in ((floor + 1e-9, True), (floor - 1e-9, False)):
+        gates = evaluate_convergence_gates(replace(synthetic_report(rate), alpha=alpha))
+        assert gates.slope_floor == pytest.approx(floor, abs=1e-12)
+        assert gates.median_slope == pytest.approx(rate, abs=1e-12)
+        assert gates.slope_ok is ok
 
 
 def test_gates_fail_on_a_flat_report():

@@ -1,5 +1,7 @@
 """Left-point pathwise integration and the two bound audits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,12 @@ from sddelab import (
     lambda_alpha,
     make_grid,
     norm_alpha_1,
+    nr_bounds_rows,
     shift_by_delay,
+    sigma_increment_rows,
     young_integral,
 )
+from sddelab import _singular
 
 ALPHA = 0.3
 
@@ -206,6 +211,81 @@ def test_nr_bounds_require_scalar_paths(rough_driver):
     two = generate_fbm(grid, FbmConfig(hurst=0.75, dim=2, seed=0))
     with pytest.raises(GridMismatchError):
         check_nr_bounds(two, rough_driver, ALPHA)
+    with pytest.raises(GridMismatchError, match="scalar paths"):
+        nr_bounds_rows(two.values, two.values, ALPHA, grid.h)
+    with pytest.raises(GridMismatchError, match="scalar paths"):
+        nr_bounds_rows(rough_driver.values, rough_driver.values[1:], ALPHA, grid.h)
+
+
+@pytest.mark.parametrize("where,bad", [("f", np.nan), ("f", np.inf), ("g", np.nan)])
+def test_nr_bounds_flag_a_non_finite_node(where, bad):
+    grid = make_grid(1.0, 64)
+    g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=1))
+    values = {"f": np.sin(g.values), "g": g.values.copy()}
+    values[where][20, 0] = bad
+    with np.errstate(invalid="ignore"):  # an inf node meets itself as inf - inf
+        rep = check_nr_bounds(SamplePath(grid, values["f"]), SamplePath(grid, values["g"]), ALPHA)
+    assert rep.n_violations_sup > 0
+    assert not rep.ok
+    assert math.isnan(rep.worst_slack_sup)
+    assert math.isnan(rep.fitted_c_alpha)
+
+
+def test_nr_bounds_of_a_zero_integrand_are_exactly_zero(rough_driver):
+    zero = SamplePath(rough_driver.grid, np.zeros_like(rough_driver.values))
+    rep = check_nr_bounds(zero, rough_driver, ALPHA)
+    assert rep.lambda_alpha == lambda_alpha(rough_driver, ALPHA)
+    assert (rep.worst_slack_sup, rep.n_violations_sup, rep.fitted_c_alpha) == (0.0, 0, 0.0)
+
+
+def test_sigma_increment_bound_flags_a_nan_node():
+    grid = make_grid(1.0, 64)
+    f = generate_fbm(grid, FbmConfig(hurst=0.75, seed=3))
+    g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=4))
+    bad = f.values.copy()
+    bad[20, 0] = np.nan
+    rep = check_sigma_increment_bound(
+        lambda t, x: np.sin(x)[..., None], SamplePath(grid, bad), g,
+        ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=1.0,
+    )
+    assert rep.n_violations > 0
+    assert not rep.ok
+    assert math.isnan(rep.worst_slack)
+
+
+def test_batched_audits_equal_per_path_audits_across_row_blocks(monkeypatch):
+    grid = make_grid(1.0, 64)
+    cfg = FbmConfig(hurst=0.75, seed=11)
+    g = np.stack([generate_fbm(grid, cfg, index=i).values for i in range(7)])
+    f = np.sin(2.0 * g)
+    bad = f.copy()
+    bad[2, 30, 0] = np.nan
+    # three rows per kernel block: the audits' 14-row kernel calls take blocks of 3
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 3 * 8 * grid.n_nodes)
+
+    def sigma(t, x):
+        return np.sin(x)[..., None]
+
+    def audits(rows):
+        return (
+            nr_bounds_rows(rows, g, ALPHA, grid.h),
+            sigma_increment_rows(sigma, rows, g, grid.h, ALPHA, 1.0, 0.5, 1.0, 1.0),
+        )
+
+    clean, poisoned = audits(f), audits(bad)
+    for k in range(7):
+        fk, gk = SamplePath(grid, bad[k]), SamplePath(grid, g[k])
+        alone = (
+            check_nr_bounds(fk, gk, ALPHA),
+            check_sigma_increment_bound(sigma, fk, gk, ALPHA, 1.0, 0.5, 1.0, 1.0),
+        )
+        for batch, one, whole in zip(poisoned, alone, clean):
+            if k == 2:
+                assert not batch[k].ok and not one.ok
+                assert repr(batch[k]) == repr(one)  # NaN fields compare by their text
+            else:
+                assert batch[k] == one == whole[k]
+                assert batch[k].ok
 
 
 def test_sigma_increment_bound_linear_case_is_tight(rough_driver):

@@ -13,6 +13,8 @@ from sddelab._singular import (
     anchored_sweep,
     backward_increment_integrals,
     backward_increment_sups,
+    backward_profile_integrals,
+    cumulative_from_zero,
     hat_weights,
     iterated_increment_integrals,
 )
@@ -129,12 +131,16 @@ def test_a_nan_row_leaves_the_other_rows_bit_identical(monkeypatch):
         lambda v: alpha_infty_rows(v, ALPHA, grid.h),
         lambda v: lambda_alpha_rows(v, ALPHA, grid.h),
         lambda v: anchored_sweep(v, ALPHA, grid.h, 1.0, signed=False),
+        lambda v: iterated_increment_integrals(v, ALPHA, grid.h),
+        lambda v: backward_profile_integrals(np.abs(v[..., 0]), 2.0 * ALPHA, grid.h),
+        lambda v: cumulative_from_zero(np.abs(v[..., 0]), ALPHA, grid.h),
     ):
         clean, poisoned = functional(rows), functional(bad)
-        assert np.isnan(poisoned[2])
+        assert np.isnan(poisoned[2]).any()
         keep = np.arange(5) != 2
         assert np.array_equal(poisoned[keep], clean[keep])
         assert np.isfinite(clean).all()
+        assert np.array_equal(poisoned, [functional(v) for v in bad], equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,6 +163,12 @@ def test_batched_sweeps_equal_per_row_calls_with_a_nan_row(shape, seed, data):
             lambda v: anchored_sweep(v, ALPHA, h, 1.0, signed=False), rows),
         "alpha_infty_rows": (lambda v: alpha_infty_rows(v, ALPHA, h), rows),
         "lambda_alpha_rows": (lambda v: lambda_alpha_rows(v, ALPHA, h), rows),
+        "iterated_increment_integrals": (
+            lambda v: iterated_increment_integrals(v, ALPHA, h), rows),
+        "backward_profile_integrals": (
+            lambda v: backward_profile_integrals(v, 2.0 * ALPHA, h), np.abs(rows[..., 0])),
+        "cumulative_from_zero": (
+            lambda v: cumulative_from_zero(v, ALPHA, h), np.abs(rows[..., 0])),
     }
     rows_per_block = data.draw(st.integers(1, n_rows))
     with mock.patch.object(_singular, "_BLOCK_BYTES", rows_per_block * rows[0].nbytes):
@@ -484,6 +496,27 @@ def test_lag_swept_iterated_integrals_match_the_dense_matrix(n):
     got = iterated_increment_integrals(fv, ALPHA, grid.h)
     assert got[0] == ref[0] == 0.0
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    # a batch of three paths, each row against its own dense matrix
+    grid, rows = fbm_rows(3, n=n)
+    batch = iterated_increment_integrals(rows, ALPHA, grid.h)
+    assert batch.shape == (3, n + 1)
+    assert np.array_equal(batch[0], got)
+    for v, row in zip(rows[..., 0], batch):
+        Psi = dense_forward_matrix(v, ALPHA + 1.0, grid.h)
+        ref = dense_backward_matrix_sum(Psi.T, ALPHA, grid.h)
+        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 48])
+def test_profile_integrals_match_the_dense_rule(n):
+    grid, rows = fbm_rows(3, n=n)
+    profiles = np.abs(rows[..., 0])
+    got = backward_profile_integrals(profiles, 2.0 * ALPHA, grid.h)
+    assert got.shape == (3, n + 1)
+    for p, row in zip(profiles, got):
+        ref = dense_backward_matrix_sum(np.tile(p, (n + 1, 1)), 2.0 * ALPHA, grid.h)
+        assert row[0] == ref[0] == 0.0
+        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
 
 
 def test_a_batch_of_no_paths_gives_empty_results():
