@@ -9,12 +9,15 @@ at the anchor (phi is an increment of the path there), which the product
 rule preserves exactly.
 
 The kernels take one row layout: values (..., n_nodes, d), a batch of
-paths on one grid (a bare (n_nodes,) array is one scalar path), and
-profiles (..., n_nodes); results are (..., n_nodes), or (...) for a sup.
+paths on one grid, and profiles (..., n_nodes); results are
+(..., n_nodes), (..., len(lags)) for lag_sups, or (...) for a sup.
 Each runs over cache-sized blocks of rows (_row_blocks), and a row's
 arithmetic does not depend on its block, so a batch equals its rows'
-separate calls bit for bit.  Only holder_seminorm and lag_sups take one
-(n_nodes, d) path.
+separate calls bit for bit.
+
+A non-finite node follows one rule in every kernel (_non_finite_rule):
+a NaN node reads NaN wherever it enters, and an inf node reads inf there,
+also where it meets another inf as inf - inf, so no kernel warns on it.
 
 Cell weights are expressed through the two hat functions on each cell, so
 every discrete integral is a nonnegative combination of nodal phi values.
@@ -36,6 +39,8 @@ The kernels decide once per block of rows (_plain_rows) whether the plain
 sum of squares gives _magnitude's bits, and use it in their lag loops.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -114,15 +119,38 @@ def hat_weights(kappa: float, h: float, n_cells: int):
     return np.concatenate(([0.0], P)), np.concatenate(([0.0], Q))
 
 
+def _non_finite_rule(kernel):
+    """kernel, with the module's rule for non-finite nodes.
+
+    On a path with a non-finite node the kernel runs with invalid
+    operations ignored, so inf - inf gives NaN without a warning.  Each NaN
+    of the result that the kernel does not also give on the path's NaN
+    nodes alone (every other node 0) came from such an operation, or from
+    a finite path's overflowed increments, and reads inf.
+    """
+    @functools.wraps(kernel)
+    def ruled(values, *args, **kwargs):
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values).all()
+        with np.errstate(invalid=None if finite else "ignore"):
+            out = kernel(values, *args, **kwargs)
+        nan = np.isnan(out)
+        if nan.any():
+            if np.isnan(values).any():
+                nan &= ~np.isnan(kernel(np.where(np.isnan(values), np.nan, 0.0), *args, **kwargs))
+            out[nan] = np.inf
+        return out
+
+    return ruled
+
+
 def _as_rows(values: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(rows, batch) of values shaped (n_nodes,) or (..., n_nodes, d).
+    """(rows, batch) of values shaped (..., n_nodes, d).
 
     rows is C-contiguous, (B, n_nodes) for one component and
     (B, d, n_nodes) otherwise, with B the product of the batch shape.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.ndim == 1:
-        return np.ascontiguousarray(vals[None, :]), ()
     batch, (n_nodes, d) = vals.shape[:-2], vals.shape[-2:]
     rows = np.moveaxis(vals, -1, -2).reshape((-1, d, n_nodes))
     return np.ascontiguousarray(rows[:, 0] if d == 1 else rows), batch
@@ -202,6 +230,7 @@ def _plain_rows(v: np.ndarray) -> bool:
     return _plain_sums(v, v.shape[1] if v.ndim == 3 else 1)
 
 
+@_non_finite_rule
 def backward_increment_integrals(
     values: np.ndarray,
     kappa: float,
@@ -211,9 +240,9 @@ def backward_increment_integrals(
 ) -> np.ndarray:
     """I[..., j] = integral over s in [t_start, t_j] of |f(t_j)-f(s)|^delta (t_j-s)^-kappa ds.
 
-    values has shape (n_nodes,) for one scalar path, or (..., n_nodes, d)
-    for a batch of paths on one grid; the increment magnitude is
-    euclidean over components, and the result has shape (..., n_nodes).
+    values has shape (..., n_nodes, d), a batch of paths on one grid; the
+    increment magnitude is euclidean over components, and the result has
+    shape (..., n_nodes).
     Entries with j <= start are zero.  The sweep runs lag by lag over
     cache-sized blocks of rows; each row's arithmetic is independent of
     its block, so a batch agrees with its rows' separate calls bit for bit.
@@ -251,6 +280,7 @@ def _lag_sums(v, W, P, n_lag, delta, plain):
     return acc, far
 
 
+@_non_finite_rule
 def backward_increment_sups(
     values: np.ndarray,
     kappa: float,
@@ -510,6 +540,7 @@ def _forward_lags(v: np.ndarray, kappa: float, h: float, signed: bool):
         prev = psi
 
 
+@_non_finite_rule
 def anchored_sweep(
     values: np.ndarray, alpha: float, h: float, c: float, signed: bool = True
 ) -> np.ndarray:
@@ -536,11 +567,7 @@ def anchored_sweep(
     def swept(full):
         v = rows[full]
         blocks = _row_blocks(len(v), v[:1].nbytes)
-        sups = np.concatenate([_swept_max(v[b], inv_denom, alpha, h, c, signed)[0] for b in blocks])
-        # overflowed increments read inf, as in backward_increment_integrals: a
-        # finite row reads NaN only where they met as inf - inf
-        sups[np.isnan(sups) & np.isfinite(v).all(axis=tuple(range(1, v.ndim)))] = np.inf
-        return sups
+        return np.concatenate([_swept_max(v[b], inv_denom, alpha, h, c, signed)[0] for b in blocks])
 
     def bounded(idx):
         return _pruned_anchored(rows[idx], inv_denom, alpha, h, c, signed)
@@ -643,47 +670,67 @@ def _anchored_tails(v, pad, K_head, inv_denom, P, Q, c, signed, plain, r, s, H):
     return val.max(axis=1)
 
 
+@_non_finite_rule
 def lag_sups(values: np.ndarray, lags) -> np.ndarray:
-    """Largest increment magnitude |f(t + l h) - f(t)| over t, for each lag l.
+    """Per path: the largest increment magnitude |f(t + l h) - f(t)| over t, for each lag l.
 
-    values has shape (n_nodes, d); the magnitude is _magnitude's.
+    values has the layout of backward_increment_integrals and the result
+    has shape (..., len(lags)); the magnitude is _magnitude's.
     """
-    plain = _plain_sums(values, values.shape[-1])
-    return np.array([_magnitude(values[l:] - values[:-l], -1, plain).max() for l in lags])
+    rows, batch = _as_rows(values)
+    out = np.empty((len(rows), len(lags)))
+    for blk in _row_blocks(len(rows), rows[:1].nbytes):
+        out[blk] = _lag_maxima(rows[blk], lags, _plain_rows(rows[blk]))
+    return out.reshape(batch + (len(lags),))
 
 
-def holder_seminorm(values: np.ndarray, mu: float, h: float) -> float:
-    """Largest |f(t+lh) - f(t)| / (lh)^mu over the lags l of values shaped (n_nodes, d).
+def _lag_maxima(v: np.ndarray, lags, plain: bool) -> np.ndarray:
+    """(rows, len(lags)): lag_sups of the block of rows v."""
+    out = np.empty((len(v), len(lags)))
+    for i, l in enumerate(lags):
+        out[:, i] = _increment_magnitude(v[..., l:] - v[..., :-l], plain=plain).max(axis=-1)
+    return out
 
-    The lags 1.._HEAD_LAGS are reduced exactly.  A later lag is bounded by
-    the largest distance from f(t) to its piece's box over t, over its own
-    (lh)^mu, with a rounding margin.  The result equals the every-lag max
-    bit for bit (_certified_sups), and a NaN node gives NaN.
+
+@_non_finite_rule
+def holder_seminorm(values: np.ndarray, mu: float, h: float) -> np.ndarray:
+    """Per path: the largest |f(t+lh) - f(t)| / (lh)^mu over the lags l.
+
+    values has the layout of backward_increment_integrals and the result
+    has shape (...).  The lags 1.._HEAD_LAGS are reduced exactly.  A
+    later lag is bounded by the largest distance from f(t) to its piece's
+    box over t, over its own (lh)^mu, with a rounding margin.  Each path
+    equals its every-lag max over lag_sups bit for bit (_certified_sups).
     """
-    n = len(values)
+    rows, batch = _as_rows(values)
+    n = rows.shape[-1]
     lags = np.arange(1, n)
     denom = (lags * h) ** mu
-    rows = _as_rows(values)[0]
     H = min(_HEAD_LAGS, n - 1)
 
-    def ratios(part):
-        return lag_sups(values, part) / denom[part - 1]
-
     def swept(full):
-        return np.max(ratios(lags), initial=0.0)
+        paths = np.reshape(values, (-1,) + values.shape[-2:])[full]
+        return np.max(lag_sups(paths, lags) / denom, axis=-1, initial=0.0)
 
     def bounded(idx):
-        best = np.array([np.max(ratios(lags[:H]), initial=0.0)])
-        bound = np.empty((1, n - 1 - H))
-        plain = _plain_rows(rows)
-        for lag, width, hi, lo in _piece_boxes(rows, H, n):
-            dev = _box_distance(rows, hi, lo, lag, plain).max(axis=1)
-            bound[:, lag - 1 - H : lag - 1 - H + width] = dev / denom[lag - 1 : lag - 1 + width]
-        return best, _margin(bound, values.shape[1]), lambda r, k: ratios(lags[k + H])
+        v = rows[idx]
+        plain = _plain_rows(v)
+        best = np.max(_lag_maxima(v, lags[:H], plain) / denom[:H], axis=1, initial=0.0)
+        bound = np.empty((len(v), n - 1 - H))
+        for lag, width, hi, lo in _piece_boxes(v, H, n):
+            dev = _box_distance(v, hi, lo, lag, plain).max(axis=1)
+            bound[:, lag - 1 - H : lag - 1 - H + width] = dev[:, None] / denom[lag - 1 : lag - 1 + width]
 
-    return float(_certified_sups(rows, 0, bounded, swept)[0])
+        def exact(r, k):
+            maxima = [_lag_maxima(v[i : i + 1], [l], plain)[0, 0] for i, l in zip(r, lags[k + H])]
+            return np.array(maxima) / denom[k + H]
+
+        return best, _margin(bound, values.shape[-1]), exact
+
+    return _certified_sups(rows, 0, bounded, swept).reshape(batch)
 
 
+@_non_finite_rule
 def backward_profile_integrals(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:
     """I[..., j] = integral over s in [t_0, t_j] of p(s) (t_j - s)^-kappa ds.
 
@@ -707,6 +754,7 @@ def backward_profile_integrals(profile: np.ndarray, kappa: float, h: float) -> n
     return out.reshape(batch + (n_nodes,))
 
 
+@_non_finite_rule
 def iterated_increment_integrals(values: np.ndarray, alpha: float, h: float) -> np.ndarray:
     """I[..., j] = integral over s in [t_0, t_j] of Psi(s, t_j) (t_j - s)^-alpha ds.
 
@@ -729,6 +777,7 @@ def iterated_increment_integrals(values: np.ndarray, alpha: float, h: float) -> 
     return out.reshape(batch + (n_nodes,))
 
 
+@_non_finite_rule
 def cumulative_from_zero(profile: np.ndarray, kappa: float, h: float) -> np.ndarray:
     """J[..., j] = integral over s in [t_0, t_j] of p(s) (s - t_0)^-kappa ds.
 

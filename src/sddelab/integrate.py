@@ -216,31 +216,35 @@ def nr_bounds_rows(f: np.ndarray, g: np.ndarray, alpha: float, h: float) -> list
     f and g are scalar main-segment values of one shape (..., n_nodes, 1)
     on one [0, T] grid of step h.  Returns one report per path, in the
     batch's C order; each equals the path's own check_nr_bounds bit for
-    bit.  A node whose slack is not within quadrature_slack counts as a
-    violation, a NaN slack included, and a path or driver with a
-    non-finite node fits c_alpha = NaN.
+    bit.  A node whose slack is not finite and within quadrature_slack
+    counts as a violation, and a path or driver with a non-finite node
+    fits c_alpha = NaN.
     """
     fv, gv = _scalar_rows(f, g, "nr_bounds_rows")
-    lam = lambda_alpha_rows(gv[..., None], alpha, h)[:, None]
-    G = np.zeros(fv.shape)  # the left-point Young integral of f against g
-    np.cumsum(fv[:, :-1] * np.diff(gv, axis=1), axis=1, out=G[:, 1:])
+    finite = np.isfinite(fv).all(axis=1) & np.isfinite(gv).all(axis=1)
+    # a non-finite node meets another as inf - inf: its slack reads NaN, without a warning
+    with np.errstate(invalid=None if finite.all() else "ignore"):
+        lam = lambda_alpha_rows(gv[..., None], alpha, h)[:, None]
+        G = np.zeros(fv.shape)  # the left-point Young integral of f against g
+        np.cumsum(fv[:, :-1] * np.diff(gv, axis=1), axis=1, out=G[:, 1:])
 
-    # sup inequality: |G(t)| <= Lambda ( int |f| s^-a + a * double increment )
-    E, lhs2 = backward_increment_integrals(np.stack([fv, G])[..., None], alpha + 1.0, h)
-    A = cumulative_from_zero(np.abs(fv), alpha, h)
-    B = np.zeros(fv.shape)
-    np.cumsum((E[:, 1:] + E[:, :-1]) * 0.5 * h, axis=1, out=B[:, 1:])
-    rhs_sup = lam * (A + alpha * B)
-    slack_sup = np.abs(G) - rhs_sup
-    nviol = np.count_nonzero(~(slack_sup <= quadrature_slack(rhs_sup)), axis=1)
+        # sup inequality: |G(t)| <= Lambda ( int |f| s^-a + a * double increment )
+        E, lhs2 = backward_increment_integrals(np.stack([fv, G])[..., None], alpha + 1.0, h)
+        A = cumulative_from_zero(np.abs(fv), alpha, h)
+        B = np.zeros(fv.shape)
+        np.cumsum((E[:, 1:] + E[:, :-1]) * 0.5 * h, axis=1, out=B[:, 1:])
+        rhs_sup = lam * (A + alpha * B)
+        slack_sup = np.abs(G) - rhs_sup
+        held = np.isfinite(slack_sup) & (slack_sup <= quadrature_slack(rhs_sup))
+        nviol = np.count_nonzero(~held, axis=1)
 
-    # alpha-integral inequality: fit its free constant
-    t1 = backward_profile_integrals(np.abs(fv), 2.0 * alpha, h)
-    t2 = iterated_increment_integrals(fv[..., None], alpha, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (lhs2 - lam * t2) / (lam * t1)
+        # alpha-integral inequality: fit its free constant
+        t1 = backward_profile_integrals(np.abs(fv), 2.0 * alpha, h)
+        t2 = iterated_increment_integrals(fv[..., None], alpha, h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (lhs2 - lam * t2) / (lam * t1)
     fitted = np.max(c, axis=1, initial=0.0, where=np.isfinite(c))
-    fitted[~(np.isfinite(fv).all(axis=1) & np.isfinite(gv).all(axis=1))] = np.nan
+    fitted[~finite] = np.nan
     cols = lam[:, 0].tolist(), np.max(slack_sup, axis=1).tolist(), nviol.tolist(), fitted.tolist()
     return [
         NrBoundsReport(alpha, lam_k, fv.shape[1], worst, n, c_k)
@@ -294,25 +298,29 @@ def sigma_increment_rows(
     called once per batch, over the column of node times.  Returns one
     report per pair, in the batch's C order; each equals the pair's own
     check_sigma_increment_bound bit for bit.  A node whose slack is not
-    within quadrature_slack counts as a violation, a NaN slack included.
+    finite and within quadrature_slack counts as a violation.
     """
     if not alpha < beta:
         raise ValueError(f"needs alpha < beta, got alpha={alpha}, beta={beta}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     fv, hv = _scalar_rows(f, h_path, "sigma_increment_rows")
-    times = np.arange(fv.shape[1]) * step
-    sig_f, sig_h = (np.asarray(sigma(times[:, None], v[..., None]), dtype=float) for v in (fv, hv))
-    w = (sig_f - sig_h).reshape(fv.shape)
-    # two batches of scalar rows, (2, n_paths, n_nodes, 1); each row equals its own call
-    kappa = alpha + 1.0
-    lhs, i_gap = backward_increment_integrals(np.stack([w, fv - hv])[..., None], kappa, step)
-    i_f, i_h = backward_increment_integrals(np.stack([fv, hv])[..., None], kappa, step, delta=delta)
-    gap = np.abs(fv - hv)
-    term2 = (m0 / (beta - alpha)) * gap * times ** (beta - alpha)
-    rhs = m0 * i_gap + term2 + mn * gap * (i_f + i_h)
-    slack = lhs - rhs
-    nviol = np.count_nonzero(~(slack <= quadrature_slack(rhs)), axis=1)
+    finite = np.isfinite(fv).all() and np.isfinite(hv).all()
+    # a non-finite node meets another as inf - inf: its slack reads NaN, without a warning
+    with np.errstate(invalid=None if finite else "ignore"):
+        times = np.arange(fv.shape[1]) * step
+        sig_f, sig_h = (np.asarray(sigma(times[:, None], v[..., None]), dtype=float) for v in (fv, hv))
+        w = (sig_f - sig_h).reshape(fv.shape)
+        # two batches of scalar rows, (2, n_paths, n_nodes, 1); each row equals its own call
+        kappa = alpha + 1.0
+        lhs, i_gap = backward_increment_integrals(np.stack([w, fv - hv])[..., None], kappa, step)
+        i_f, i_h = backward_increment_integrals(np.stack([fv, hv])[..., None], kappa, step, delta=delta)
+        gap = np.abs(fv - hv)
+        term2 = (m0 / (beta - alpha)) * gap * times ** (beta - alpha)
+        rhs = m0 * i_gap + term2 + mn * gap * (i_f + i_h)
+        slack = lhs - rhs
+        held = np.isfinite(slack) & (slack <= quadrature_slack(rhs))
+        nviol = np.count_nonzero(~held, axis=1)
     return [
         SigmaIncrementReport(alpha, beta, delta, worst, n)
         for worst, n in zip(np.max(slack, axis=1).tolist(), nviol.tolist())

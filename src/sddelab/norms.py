@@ -21,7 +21,11 @@ All integrals discretize by the product-linear rule in _singular, and
 every magnitude, of a value |f(t)| or of an increment, comes from
 _singular._magnitude (|x| for a scalar path).  So scaling a path by 2^k
 scales each functional by exactly 2^k while its values stay normal
-doubles, and a finite path never reads NaN.
+doubles, and a finite path never reads NaN.  A path with a NaN node
+reads NaN, and one with inf nodes and no NaN reads inf, without a
+warning.  The _singular kernels take batches (..., n_nodes, d): each
+functional passes its path as a batch of one, and alpha_infty_rows and
+lambda_alpha_rows pass whole batches.
 Every sup is exact without the full sweep: the sups over nodes
 (norm_alpha_infty, norm_alpha_lambda, delta_r), over anchored pairs
 (lambda_alpha, norm_1ma_infty_T) and over lags (the Hoelder ratio of
@@ -163,7 +167,7 @@ def norm_holder(f: SamplePath, mu: float, r: float | None = None) -> float:
         raise ValueError(f"Hoelder exponent mu must lie in (0, 1], got {mu}")
     s0 = f.grid.history_start(r)
     vals = f.values[s0:]
-    return float(np.max(_magnitude(vals, -1))) + holder_seminorm(vals, mu, f.grid.h)
+    return float(np.max(_magnitude(vals, -1)) + holder_seminorm(vals, mu, f.grid.h))
 
 
 def norm_alpha_lambda(

@@ -1,9 +1,9 @@
 """End-to-end acceptance gates, one test per criterion.
 
 Each test is self-contained and deterministic; `pytest -v` prints one
-pass/fail line per criterion.  The slow entries are criterion 1 (three
-100k-path driver batches, ~5 s) and criterion 7 (two full Monte Carlo
-delay studies, ~2 min).
+pass/fail line per criterion.  The slowest test is criterion 1 (three
+100k-path driver batches, about 5 s on a 2-core Xeon); criterion 7 (two
+full Monte Carlo delay studies) takes about 3 s.
 """
 
 import json

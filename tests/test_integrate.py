@@ -223,12 +223,33 @@ def test_nr_bounds_flag_a_non_finite_node(where, bad):
     g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=1))
     values = {"f": np.sin(g.values), "g": g.values.copy()}
     values[where][20, 0] = bad
-    with np.errstate(invalid="ignore"):  # an inf node meets itself as inf - inf
-        rep = check_nr_bounds(SamplePath(grid, values["f"]), SamplePath(grid, values["g"]), ALPHA)
+    rep = check_nr_bounds(SamplePath(grid, values["f"]), SamplePath(grid, values["g"]), ALPHA)
     assert rep.n_violations_sup > 0
     assert not rep.ok
     assert math.isnan(rep.worst_slack_sup)
     assert math.isnan(rep.fitted_c_alpha)
+
+
+@pytest.mark.filterwarnings("error")
+def test_audits_flag_non_finite_nodes_without_a_warning():
+    # one inf node, two, an inf pair and a NaN node, in the path and in the
+    # driver: a non-finite slack counts as a violation, and nothing warns; a
+    # bounded sigma (tanh) meets an inf bound with a finite side: slack -inf
+    grid = make_grid(1.0, 64)
+    g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=1)).values
+    clean = {"f": np.sin(g), "g": g}
+    for nodes in [{20: np.inf}, {20: np.inf, 30: np.inf}, {20: np.inf, 30: -np.inf}, {20: np.nan}]:
+        for where in clean:
+            values = {k: v.copy() for k, v in clean.items()}
+            values[where][list(nodes), 0] = list(nodes.values())
+            f, h = SamplePath(grid, values["f"]), SamplePath(grid, values["g"])
+            nr = check_nr_bounds(f, h, ALPHA)
+            assert nr.n_violations_sup > 0 and math.isnan(nr.fitted_c_alpha), (nodes, where)
+            for fn in (np.sin, np.tanh):
+                sigma = check_sigma_increment_bound(
+                    lambda t, x: fn(x)[..., None], f, h, ALPHA, 1.0, 1.0, 1.0, 1.0
+                )
+                assert sigma.n_violations > 0, (nodes, where, fn)
 
 
 def test_nr_bounds_of_a_zero_integrand_are_exactly_zero(rough_driver):

@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def every_lag_holder(values, mu, h):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    shape=st.tuples(st.integers(1, 200), st.sampled_from([1, 2, 3])),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 200), st.sampled_from([1, 2, 3])),
     kind=st.sampled_from(["walk", "constant", "alternating", "ramp", "spike-first", "spike-last"]),
     poison=st.sampled_from([None, np.nan, np.inf, -np.inf]),
     mu=st.sampled_from([0.3, 0.7, 1.0]),
@@ -322,25 +323,26 @@ def every_lag_holder(values, mu, h):
     data=st.data(),
 )
 def test_pruned_holder_seminorm_equals_the_every_lag_max(shape, kind, poison, mu, h, seed, data):
-    n_nodes, d = shape
-    values = np.random.default_rng(seed).standard_normal(shape).cumsum(axis=0)
+    n_rows, n_nodes, d = shape
+    values = np.random.default_rng(seed).standard_normal(shape).cumsum(axis=1)
     if kind == "constant":
-        values[:] = values[:1]
+        values[:] = values[:, :1]
     elif kind == "alternating":  # the sup sits at lag 1
-        values = np.where(np.arange(n_nodes) % 2, 1.0, -1.0)[:, None] * np.ones(d)
+        values = np.where(np.arange(n_nodes) % 2, 1.0, -1.0)[:, None] * np.ones(shape)
     elif kind == "ramp":  # for mu < 1 the sup sits at the last lag, for mu = 1 every lag ties
-        values = np.arange(n_nodes)[:, None] * values[:1]
+        values = np.arange(n_nodes)[:, None] * values[:, :1]
     elif kind == "spike-first":
-        values[0] += 50.0
+        values[:, 0] += 50.0
     elif kind == "spike-last":
-        values[-1] += 50.0
+        values[:, -1] += 50.0
     if poison is not None:
-        values[data.draw(st.integers(0, n_nodes - 1)), data.draw(st.integers(0, d - 1))] = poison
+        values[tuple(data.draw(st.integers(0, k - 1)) for k in shape)] = poison
     h = 1.0 / n_nodes if h is None else h
-    with np.errstate(invalid="ignore"):
+    # a batch of paths, in pruned blocks of one row up to all of them
+    with mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * values.nbytes))):
         got = _singular.holder_seminorm(values, mu, h)
-        want = every_lag_holder(values, mu, h)
-    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert got.shape == (n_rows,)
+    assert np.array_equal(got, [every_lag_holder(v, mu, h) for v in values], equal_nan=True)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -350,14 +352,15 @@ def test_pruned_holder_seminorm_of_long_paths_reduces_few_lags(monkeypatch, dim)
     want = [every_lag_holder(v, 0.7, grid.h) for v in paths]
     reduced = []
 
-    def counted(values, lags):
-        reduced.append(len(lags))
-        return lag_sups(values, lags)
+    def counted(v, lags, plain):
+        reduced.append(len(v) * len(lags))  # (row, lag) pairs
+        return lag_maxima(v, lags, plain)
 
-    lag_sups = _singular.lag_sups
-    monkeypatch.setattr(_singular, "lag_sups", counted)
+    lag_maxima = _singular._lag_maxima
+    monkeypatch.setattr(_singular, "_lag_maxima", counted)
     assert [_singular.holder_seminorm(v, 0.7, grid.h) for v in paths] == want
     assert sum(reduced) < 0.5 * len(paths) * grid.n_main
+    assert _singular.holder_seminorm(np.stack(paths), 0.7, grid.h).tolist() == want
 
 
 #: every positively homogeneous functional of the family, at delta = 1 and lambda = 0
@@ -454,3 +457,31 @@ def test_a_nan_node_gives_nan_holder_and_integral_norms(n, dim, seed, data):
     bad = SamplePath(grid, vals)
     assert math.isnan(norm_holder(bad, 0.7))
     assert math.isnan(norm_alpha_1(bad, ALPHA))
+
+
+#: non-finite nodes of a 65-node ramp, by index
+NON_FINITE = {
+    "one-inf": {20: np.inf},
+    "two-infs": {20: np.inf, 30: np.inf},
+    "inf-pair": {20: np.inf, 30: -np.inf},
+    "nan": {20: np.nan},
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_node_reads_nan_or_inf_without_a_warning():
+    # a NaN node reads NaN, inf nodes without one read inf, also where two
+    # infs meet as inf - inf, and nothing warns
+    f = ramp(64)
+    functionals = dict(
+        HOMOGENEOUS,
+        norm_alpha_lambda=lambda f: norm_alpha_lambda(f, ALPHA, 1.0),
+        delta_r=lambda f: delta_r(f, ALPHA, 0.8),
+    )
+    for case, nodes in NON_FINITE.items():
+        vals = f.values.copy()
+        vals[list(nodes), 0] = list(nodes.values())
+        bad = SamplePath(f.grid, vals)
+        want = "nan" if case == "nan" else "inf"
+        got = {name: str(fn(bad)) for name, fn in functionals.items()}
+        assert got == dict.fromkeys(functionals, want), case

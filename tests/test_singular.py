@@ -16,7 +16,9 @@ from sddelab._singular import (
     backward_profile_integrals,
     cumulative_from_zero,
     hat_weights,
+    holder_seminorm,
     iterated_increment_integrals,
+    lag_sups,
 )
 from sddelab.norms import alpha_infty_rows, lambda_alpha_rows, norm_1ma_infty_T
 
@@ -98,7 +100,8 @@ def fbm_rows(n_rows, n=64, dim=1):
 )
 def test_lag_kernel_matches_the_dense_rule(dim, delta, start, squeeze):
     grid, rows = fbm_rows(1, n=48, dim=dim)
-    values = rows[0, :, 0] if squeeze else rows[0]
+    # squeeze: the path as a column of its scalar values
+    values = rows[0, :, 0][:, None] if squeeze else rows[0]
     got = backward_increment_integrals(values, ALPHA + 1.0, grid.h, delta=delta, start=start)
     ref = dense_increment_integrals(values, ALPHA + 1.0, grid.h, delta, start)
     assert got.shape == (grid.n_nodes,)
@@ -143,6 +146,68 @@ def test_a_nan_row_leaves_the_other_rows_bit_identical(monkeypatch):
         assert np.array_equal(poisoned, [functional(v) for v in bad], equal_nan=True)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_holder_sups_equal_per_path_calls_and_the_every_lag_max(monkeypatch, dim):
+    grid, rows = fbm_rows(6, n=200, dim=dim)
+    rows[3, 50, 0] = np.nan
+    # a pruned block takes a quarter of a kernel block's rows: one row each,
+    # so the five finite rows take five blocks
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 2 * rows[0].nbytes)
+    lags = np.arange(1, grid.n_nodes)
+    sups = lag_sups(rows, lags)
+    got = holder_seminorm(rows, 0.7, grid.h)
+    assert sups.shape == (6, grid.n_main) and got.shape == (6,)
+    assert np.array_equal(got, np.max(sups / (lags * grid.h) ** 0.7, axis=-1, initial=0.0), equal_nan=True)
+    assert np.array_equal(got, [holder_seminorm(v, 0.7, grid.h) for v in rows], equal_nan=True)
+    assert np.array_equal(sups, [lag_sups(v, lags) for v in rows], equal_nan=True)
+    assert np.isnan(got[3]) and np.isfinite(np.delete(got, 3)).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_non_finite_rows_read_nan_or_inf_and_leave_the_finite_rows_bit_identical(monkeypatch, dim):
+    # rows 1-4 hold one inf node, two, an inf pair and a NaN node: a value
+    # that a NaN node enters reads NaN, one that only inf nodes enter reads
+    # inf, and nothing warns; rows 0 and 5 keep their bits
+    grid, rows = fbm_rows(6, n=200, dim=dim)
+    monkeypatch.setattr(_singular, "_BLOCK_BYTES", 2 * rows[0].nbytes)
+    bad = rows.copy()
+    cases = [{20: np.inf}, {20: np.inf, 30: np.inf}, {20: np.inf, 30: -np.inf}, {20: np.nan}]
+    for row, nodes in enumerate(cases, start=1):
+        bad[row, list(nodes), 0] = list(nodes.values())
+    fill = np.array([np.inf, np.inf, np.inf, np.nan])
+    lags = np.arange(1, grid.n_nodes)
+    N = grid.n_main
+    sups = {
+        "backward_increment_sups": lambda v: backward_increment_sups(v, ALPHA + 1.0, grid.h, 0.8),
+        "alpha_infty_rows": lambda v: alpha_infty_rows(v, ALPHA, grid.h),
+        "lambda_alpha_rows": lambda v: lambda_alpha_rows(v, ALPHA, grid.h),
+        "unsigned anchored_sweep": lambda v: anchored_sweep(v, ALPHA, grid.h, 1.0, signed=False),
+        "holder_seminorm": lambda v: holder_seminorm(v, 0.7, grid.h),
+    }
+    for name, functional in sups.items():
+        clean, got = functional(rows), functional(bad)
+        assert np.array_equal(got, np.concatenate([clean[:1], fill, clean[5:]]), equal_nan=True), name
+    # node j of a profile reads the nodes up to j: from node 20 on they hold a non-finite one
+    profiles = {
+        "backward_increment_integrals": lambda v: backward_increment_integrals(v, ALPHA + 1.0, grid.h, 0.8),
+        "iterated_increment_integrals": lambda v: iterated_increment_integrals(v, ALPHA, grid.h),
+        "backward_profile_integrals": lambda v: backward_profile_integrals(
+            _singular._magnitude(v, -1), 2.0 * ALPHA, grid.h),
+        "cumulative_from_zero": lambda v: cumulative_from_zero(_singular._magnitude(v, -1), ALPHA, grid.h),
+    }
+    for name, functional in profiles.items():
+        want = functional(rows)
+        want[1:5, 20:] = fill[:, None]
+        assert np.array_equal(functional(bad), want, equal_nan=True), name
+    # lag l of lag_sups reads the pairs (t, t + l): node k is in one for l <= max(k, N - k)
+    want = lag_sups(rows, lags)
+    for row, nodes in enumerate(cases, start=1):
+        reached = (lags[:, None] <= np.maximum(list(nodes), N - np.array(list(nodes)))).any(axis=1)
+        want[row, reached] = fill[row - 1]
+    assert np.array_equal(lag_sups(bad, lags), want, equal_nan=True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.tuples(st.integers(1, 5), st.integers(2, 20), st.integers(1, 3)),
@@ -177,6 +242,11 @@ def test_batched_sweeps_equal_per_row_calls_with_a_nan_row(shape, seed, data):
             assert np.array_equal(functional(values), per_row, equal_nan=True), name
 
 
+def nan_free_rows_read_inf(sups, values):
+    """The kernels' rule for a sweep's sups: a NaN of a row without a NaN node reads inf."""
+    return np.where(np.isnan(sups) & ~np.isnan(values).any(axis=(-2, -1)), np.inf, sups)
+
+
 def full_sweep_sups(values, kappa, h, delta, start, level, weights):
     """np.max over the full kernel's profile w (a + I): what the pruned sups must equal."""
     B = backward_increment_integrals(values, kappa, h, delta, start)[..., start:]
@@ -185,7 +255,7 @@ def full_sweep_sups(values, kappa, h, delta, start, level, weights):
     if weights is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             B = np.where(B == 0.0, 0.0, weights * B)
-    return np.max(B, axis=-1)
+    return nan_free_rows_read_inf(np.max(B, axis=-1), values[..., start:, :])
 
 
 @settings(max_examples=80, deadline=None)
@@ -219,11 +289,9 @@ def test_pruned_sups_equal_the_full_sweep(shape, kind, poison, delta, lam, with_
     if lam is not None:  # at lambda = 3000 the history weights overflow to inf
         with np.errstate(over="ignore"):
             weights = np.exp(-lam * (np.arange(start, n_nodes) - n_nodes // 2) * h)
-    # short rows prune too, and blocks hold from one row to all of them; an
-    # inf row makes inf - inf in the full sweep
+    # short rows prune too, and blocks hold from one row to all of them
     with mock.patch.object(_singular, "_PRUNE_MIN_NODES", data.draw(st.integers(2, 40))), \
-            mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * rows.nbytes))), \
-            np.errstate(invalid="ignore"):
+            mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * rows.nbytes))):
         want = full_sweep_sups(rows, ALPHA + 1.0, h, delta, start, level, weights)
         got = backward_increment_sups(rows, ALPHA + 1.0, h, delta, start, level, weights)
     assert got.shape == (n_rows,)
@@ -316,7 +384,7 @@ def lag_sweep(values, alpha, h, c, signed):
         val = K * c
         val += psi * inv_denom[L - 1]
         np.maximum(best, np.abs(val, out=val).max(axis=1), out=best)
-    return best.reshape(batch)
+    return nan_free_rows_read_inf(best.reshape(batch), values)
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,9 +416,9 @@ def test_pruned_anchored_sweep_equals_the_lag_sweep(shape, kind, poison, signed,
     # short rows prune too, and blocks hold from one row to all of them; an
     # inf row makes inf - inf in the lag sweep
     with mock.patch.object(_singular, "_ANCHORED_MIN_NODES", 2), \
-            mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * rows.nbytes))), \
-            np.errstate(invalid="ignore"):
-        want = lag_sweep(rows, ALPHA, h, c, signed)
+            mock.patch.object(_singular, "_BLOCK_BYTES", data.draw(st.integers(1, 4 * rows.nbytes))):
+        with np.errstate(invalid="ignore"):
+            want = lag_sweep(rows, ALPHA, h, c, signed)
         got = anchored_sweep(rows, ALPHA, h, c, signed)
     assert got.shape == (n_rows,)
     assert np.array_equal(got, want, equal_nan=True)
@@ -470,7 +538,6 @@ def test_finite_rows_whose_bounds_overflow_equal_the_full_sweep(monkeypatch, dim
         for values, c, signed in [(comps, 1.0 - ALPHA, True), (rows, 1.0, False)]:
             got = anchored_sweep(values, ALPHA, grid.h, c, signed)
             want = lag_sweep(values, ALPHA, grid.h, c, signed)
-            want[np.isnan(want)] = np.inf  # the sweep's inf - inf of signed increments past the range
             assert np.array_equal(got, want)
             sups.append(got.ravel())
         for v in rows:
@@ -493,7 +560,7 @@ def test_lag_swept_iterated_integrals_match_the_dense_matrix(n):
     for L, _psi, K in lags:
         assert np.array_equal(K[0], np.diagonal(Psi, L))
     ref = dense_backward_matrix_sum(Psi.T, ALPHA, grid.h)
-    got = iterated_increment_integrals(fv, ALPHA, grid.h)
+    got = iterated_increment_integrals(fv[:, None], ALPHA, grid.h)
     assert got[0] == ref[0] == 0.0
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     # a batch of three paths, each row against its own dense matrix
