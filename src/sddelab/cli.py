@@ -35,6 +35,7 @@ from .fbm import FbmConfig, generate_fbm
 from .grids import (
     InitialSegment,
     atomic_open,
+    float_text,
     make_grid,
     read_path_csv,
     write_path_csv,
@@ -49,10 +50,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_GATE = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _driver_path(cfg: dict, r: float = 0.0, dim: int = 1):
@@ -94,7 +91,7 @@ def _run_norms(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
     )
     with atomic_open(out) as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
-        fh.write(",".join(_fmt(value) for _, value in columns) + "\n")
+        fh.write(",".join(float_text(value) for _, value in columns) + "\n")
     print(
         f"norms: alpha={report.alpha:g} |f|_a={report.norm_alpha_infty:.6g} "
         f"Lambda_a={report.lambda_alpha:.6g} -> {out}"
@@ -239,8 +236,8 @@ def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
             lam_i = report.lambda_alpha_samples[i]
             for j, r in enumerate(report.delays):
                 fh.write(
-                    f"{seed},{_fmt(r)},{_fmt(report.dist_alpha[i, j])},"
-                    f"{_fmt(report.dist_sup[i, j])},{_fmt(lam_i)}\n"
+                    f"{seed},{float_text(r)},{float_text(report.dist_alpha[i, j])},"
+                    f"{float_text(report.dist_sup[i, j])},{float_text(lam_i)}\n"
                 )
     summary = outdir / "summary.csv"
     with atomic_open(summary) as fh:
@@ -248,8 +245,8 @@ def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
         for j, r in enumerate(report.delays):
             for i, p in enumerate(report.p_list):
                 fh.write(
-                    f"{_fmt(r)},{p:g},{_fmt(report.lp_means[i, j])},"
-                    f"{_fmt(report.lp_stderr[i, j])}\n"
+                    f"{float_text(r)},{p:g},{float_text(report.lp_means[i, j])},"
+                    f"{float_text(report.lp_stderr[i, j])}\n"
                 )
     plot = outdir / "plot_convergence.py"
     with atomic_open(plot) as fh:

@@ -31,12 +31,13 @@ __all__ = [
     "shift_by_delay",
     "main_segment",
     "atomic_open",
+    "float_text",
     "write_path_csv",
     "read_path_csv",
 ]
 
-#: absolute tolerance on r/h - round(r/h) below which a delay is snapped
-#: to the nearest whole number of grid steps.
+#: relative tolerance, against max(1, steps), within which a step count
+#: snaps to the nearest whole number of grid steps (see aligned_steps).
 ALIGNMENT_TOL = 1e-9
 
 #: relative tolerance, against max(1, |value|), within which two grid
@@ -94,12 +95,13 @@ class TimeGrid:
         return self.t_start + index * self.h
 
     def index_of(self, t: float) -> int:
-        """Index of the node at time t; t must sit on the grid."""
-        k = (t - self.t_start) / self.h
-        j = int(round(k))
-        if abs(k - j) > ALIGNMENT_TOL * max(1.0, abs(k)) or not 0 <= j < self.n_nodes:
-            raise GridError(f"time {t!r} is not a node of the grid")
-        return j
+        """Index of the node at time t, snapped by aligned_steps; GridError if none."""
+        try:
+            if (j := aligned_steps(t - self.t_start, self.h)) < self.n_nodes:
+                return j
+        except GridError:
+            pass
+        raise GridError(f"time {t!r} is not a node of the grid")
 
     def main_only(self) -> "TimeGrid":
         """The [0, T] portion of this grid as a grid in its own right."""
@@ -116,16 +118,17 @@ class TimeGrid:
 
 
 def aligned_steps(r: float, h: float) -> int:
-    """The number of steps h in a delay r >= 0, snapped within ALIGNMENT_TOL.
+    """The number of steps h in r >= 0: the one snapping rule of every grid entry.
 
-    A negative or non-finite r raises GridError, and r further off the
-    grid DelayAlignmentError.
+    r / h snaps to the nearest integer n >= 0 within ALIGNMENT_TOL * max(1, |r / h|),
+    a tolerance that grows with the count as float error does.  A non-finite r or
+    one further below 0 raises GridError, and r further off DelayAlignmentError.
     """
-    if not 0 <= r < math.inf:
-        raise GridError(f"delay r must be finite and >= 0, got {r}")
     steps = r / h
+    if not -ALIGNMENT_TOL <= steps < math.inf:
+        raise GridError(f"delay r must be finite and >= 0, got {r}")
     n = int(round(steps))
-    if abs(steps - n) > ALIGNMENT_TOL:
+    if abs(steps - n) > ALIGNMENT_TOL * max(1.0, steps):
         raise DelayAlignmentError(
             f"delay r={r} is not aligned with the grid: r/h={steps} "
             f"is {abs(steps - n):.3e} from an integer"
@@ -163,12 +166,18 @@ def make_grid(T: float, n_main: int, r: float = 0.0) -> TimeGrid:
 
 
 def _as_value_matrix(values: np.ndarray | Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")  # a copy, made read-only below
     if arr.ndim == 1:
-        arr = arr[:, None]
+        arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise GridError(f"path values must be 1-D or 2-D, got shape {arr.shape}")
+    arr.setflags(write=False)
     return arr
+
+
+def _sample(fn: Callable[[float], float | np.ndarray], times: np.ndarray) -> np.ndarray:
+    """fn at each time as (nodes, d) rows by one np.array call; ndim > 1 per node is a GridError."""
+    return _as_value_matrix([fn(t) for t in times])
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,19 +193,18 @@ class SamplePath:
     meta: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        arr = _as_value_matrix(self.values).copy()
+        arr = _as_value_matrix(self.values)
         if arr.shape[0] != self.grid.n_nodes:
             raise GridMismatchError(
                 f"path has {arr.shape[0]} rows but grid has {self.grid.n_nodes} nodes"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn: Callable[[float], float | np.ndarray],
                       meta: dict | None = None) -> "SamplePath":
-        rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.times()]
-        return cls(grid, np.vstack(rows), meta)
+        """fn sampled at the grid's nodes by _sample."""
+        return cls(grid, _sample(fn, grid.times()), meta)
 
     @property
     def dim(self) -> int:
@@ -245,19 +253,17 @@ class InitialSegment:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_value_matrix(self.values).copy()
+        arr = _as_value_matrix(self.values)
         if arr.shape[0] < 1:
             raise GridError("initial segment needs at least the node at 0")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @classmethod
     def from_function(cls, eta: Callable[[float], float | np.ndarray],
                       r: float, h: float) -> "InitialSegment":
+        """eta sampled by _sample at the aligned_steps(r, h) + 1 nodes of [-r, 0]."""
         n = aligned_steps(r, h)
-        times = -n * h + np.arange(n + 1) * h
-        rows = [np.atleast_1d(np.asarray(eta(t), dtype=float)) for t in times]
-        return cls(h, np.vstack(rows))
+        return cls(h, _sample(eta, -n * h + np.arange(n + 1) * h))
 
     @classmethod
     def from_path(cls, path: SamplePath) -> "InitialSegment":
@@ -301,7 +307,14 @@ def main_segment(x: SamplePath) -> SamplePath:
 # ---------------------------------------------------------------- CSV format #
 # One shared on-disk format: header "t,x_1,...,x_d", one row per node in
 # ascending time, decimal values with 17 significant digits (lossless for
-# float64).
+# float64).  Every CSV the package writes, the CLI's included, uses FLOAT_FORMAT.
+FLOAT_FORMAT = "%.17g"
+
+
+def float_text(x: float) -> str:
+    """x in FLOAT_FORMAT, the lossless text of a number in every CSV."""
+    return FLOAT_FORMAT % float(x)
+
 
 @contextlib.contextmanager
 def atomic_open(file):
@@ -340,7 +353,7 @@ def write_path_csv(path: SamplePath, file) -> None:
 def _write_csv_text(path: SamplePath, fh) -> None:
     fh.write("t," + ",".join(f"x_{i + 1}" for i in range(path.dim)) + "\n")
     table = np.column_stack((path.times(), path.values))
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
     # a %.17g field is at most 24 characters: about 0.5 MB of text per call
     for blk in _row_blocks(len(table), 24 * table.shape[1]):
         block = table[blk]
@@ -353,26 +366,18 @@ def read_path_csv(file) -> SamplePath:
     The time column must be uniform, contain t = 0 as a node, and end at
     a positive horizon; every entry must be finite.
     """
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "r", newline="")
-        close = True
-    try:
-        header = file.readline().strip()
+    is_path = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
+    with open(file, "r", newline="") if is_path else contextlib.nullcontext(file) as fh:
+        header = fh.readline().strip()
         cols = header.split(",")
-        if not cols or cols[0] != "t" or any(
-            c != f"x_{i + 1}" for i, c in enumerate(cols[1:])
-        ) or len(cols) < 2:
+        if cols != ["t"] + [f"x_{i}" for i in range(1, len(cols))] or len(cols) < 2:
             raise GridError(f"bad path CSV header: {header!r}")
         try:
             with warnings.catch_warnings():  # a header-only file fails below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(file, delimiter=",", ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError:  # ragged rows or a non-numeric field
             raise GridError("path CSV holds a malformed row") from None
-    finally:
-        if close:
-            file.close()
     if len(data) and data.shape[1] != len(cols):
         raise GridError("path CSV rows do not match header width")
     if not np.isfinite(data).all():
@@ -386,10 +391,8 @@ def read_path_csv(file) -> SamplePath:
         raise GridError("path CSV times must be strictly increasing")
     if np.max(np.abs(np.diff(times) - h)) > 1e-9 * max(1.0, h):
         raise GridError("path CSV times are not uniformly spaced")
-    # a first time within the alignment tolerance above 0 is the node t = 0
-    r0 = 0.0 if 0.0 < times[0] <= ALIGNMENT_TOL * h else -times[0]
     try:
-        k0 = aligned_steps(r0, h)
+        k0 = aligned_steps(-times[0], h)
     except GridError:
         k0 = n
     if k0 >= n:

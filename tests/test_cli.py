@@ -312,6 +312,22 @@ def test_norms_rejects_a_malformed_input_csv_with_exit_1(tmp_path, capsys, body)
     assert not (out / "norms.csv").exists()
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("t,x_1,x_2\n0,1\n0.5,2\n1,3\n", id="header-wider-than-rows"),
+    pytest.param("t,x_1\n1,1\n0.5,2\n0,3\n", id="decreasing-times"),
+    pytest.param("t,x_1\n0,1\n0.25,2\n1,3\n", id="non-uniform"),
+    pytest.param("t,x_1\n0.1,1\n0.2,2\n0.3,3\n", id="no-node-at-zero"),
+])
+def test_norms_refuses_an_input_csv_that_is_no_grid_with_exit_1(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    out = tmp_path / "n"
+    assert run(["norms", "--outdir", out, "--input", bad]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: path CSV")
+    assert not (out / "norms.csv").exists()
+
+
 def test_integrate_writes_certificate(tmp_path):
     out = tmp_path / "i"
     assert run(["integrate", "--outdir", out, "--n-main", 128]) == 0
@@ -337,6 +353,32 @@ def test_solve_outputs_solution_and_record(tmp_path):
     assert rec["a_priori"]["measured"] > 0
     header = (out / "solution.csv").read_text().splitlines()[0]
     assert header == "t,x_1"
+
+
+def test_integrate_of_a_scalar_path_against_a_two_component_driver(tmp_path):
+    for dim in (1, 2):
+        assert run(["fbm", "--outdir", tmp_path / f"d{dim}", "--n-main", 128,
+                    "--dim", dim, "--seed", 4]) == 0
+    out = tmp_path / "i"
+    assert run(["integrate", "--outdir", out, "--f-input", tmp_path / "d1" / "path.csv",
+                "--g-input", tmp_path / "d2" / "path.csv"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["integral.csv", "manifest.jsonl"]
+    integral = read_path_csv(out / "integral.csv")
+    assert integral.values.shape == (129, 2)
+    assert (out / "integral.csv").read_text().splitlines()[0] == "t,x_1,x_2"
+
+
+def test_a_picard_solve_that_stops_at_its_iteration_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "s"
+    assert run(["solve", "--outdir", out, "--n-main", 64, "--picard-max-iter", 1]) == 1
+    err = capsys.readouterr().err
+    assert err == "solve: iteration did not reach tol=1e-08 within 1 steps\n"
+    rec = json.loads((out / "record.json").read_text())
+    assert rec["converged"] is False and len(rec["residuals"]) == 1
+    (record,) = read_manifest(out)
+    assert sorted(record.outputs) == ["record.json", "solution.csv"]
+    for name, digest in record.outputs.items():
+        assert sha256_file(out / name) == digest
 
 
 def test_solve_euler_scheme_selected_by_flag(tmp_path):
@@ -429,6 +471,30 @@ def test_rerun_detects_tampering(tmp_path):
     assert "path.csv" in mismatches
 
 
+def test_rerun_of_a_changed_digest_names_the_output_and_exits_1(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run(["norms", "--outdir", first, "--n-main", 64]) == 0
+    manifest = first / "manifest.jsonl"
+    line = json.loads(manifest.read_text())
+    line["outputs"]["norms.csv"] = "0" * 64
+    manifest.write_text(json.dumps(line) + "\n")
+    capsys.readouterr()
+    assert run(["rerun", "--manifest", first, "--outdir", tmp_path / "again"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "rerun: norms.csv: MISMATCH"
+    assert err == "rerun: 1 of 1 outputs differ\n"
+
+
+def test_rerun_of_a_manifest_without_records_is_a_usage_error(tmp_path, capsys):
+    first = tmp_path / "first"
+    first.mkdir()
+    (first / "manifest.jsonl").write_text("\n")
+    assert run(["rerun", "--manifest", first, "--outdir", tmp_path / "again"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no records")
+    assert not (tmp_path / "again").exists()
+
+
 def test_rerun_bad_index_is_a_usage_error(tmp_path):
     first = tmp_path / "first"
     assert run(["fbm", "--outdir", first, "--n-main", 64]) == 0
@@ -500,7 +566,7 @@ def test_a_failing_output_writer_keeps_the_earlier_file(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run(["norms", "--outdir", out, "--n-main", 64]) == 0
     before = (out / "norms.csv").read_bytes()
-    fmt, count = cli._fmt, []
+    fmt, count = cli.float_text, []
 
     def failing(x):  # the header is written, then the fourth value fails
         count.append(x)
@@ -508,7 +574,7 @@ def test_a_failing_output_writer_keeps_the_earlier_file(tmp_path, monkeypatch):
             raise OSError("device full")
         return fmt(x)
 
-    monkeypatch.setattr(cli, "_fmt", failing)
+    monkeypatch.setattr(cli, "float_text", failing)
     assert run(["norms", "--outdir", out, "--n-main", 64, "--seed", 3]) == 1
     assert (out / "norms.csv").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "norms.csv"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sddelab import _singular
-from sddelab.grids import aligned_steps, atomic_open
+from sddelab.grids import ALIGNMENT_TOL, aligned_steps, atomic_open
 from sddelab import (
     DelayAlignmentError,
     GridError,
@@ -80,6 +80,28 @@ def test_index_of_roundtrip():
         grid.index_of(0.03)
 
 
+# k = 2^20 steps off by a multiple of ALIGNMENT_TOL * k steps, far more than
+# ALIGNMENT_TOL steps: the tolerance grows with the step count in every entry
+K = 2**20
+
+
+def test_every_entry_snaps_within_the_tolerance_of_its_step_count():
+    r = (K + 0.5 * ALIGNMENT_TOL * K) / K
+    assert make_grid(1.0, K, r).n_history == K
+    assert make_grid(1.0, K, 1.0).history_start(r) == 0
+    assert make_grid(1.0, K).index_of(r) == K
+
+
+def test_every_entry_refuses_beyond_the_tolerance_of_its_step_count():
+    r = (K + 2.0 * ALIGNMENT_TOL * K) / K
+    with pytest.raises(DelayAlignmentError, match=r"delay r=.* is not aligned with the grid"):
+        make_grid(1.0, K, r)
+    with pytest.raises(DelayAlignmentError, match=r"r/h=.* from an integer"):
+        make_grid(1.0, K, 1.0).history_start(r)
+    with pytest.raises(GridError, match=r"time .* is not a node of the grid"):
+        make_grid(1.0, K).index_of(r)
+
+
 def test_main_only_drops_history():
     grid = make_grid(1.0, 8, 0.5)
     main = grid.main_only()
@@ -135,6 +157,35 @@ def test_initial_segment_from_function():
     assert np.allclose(eta.value_at_zero(), [1.0])
     assert np.allclose(eta.times(), [-0.5, -0.375, -0.25, -0.125, 0.0])
     assert np.allclose(eta.values[:, 0], 1.0 + eta.times())
+
+
+def stacked_per_node(fn, times):
+    # how both from_functions built their matrix before they shared one sampler
+    return np.vstack([np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in times])
+
+
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda t: np.sin(3.0 * t) / 7.0, id="scalar"),
+    pytest.param(lambda t: np.array([t, np.cos(t) / 3.0, np.exp(-t)]), id="vector"),
+    pytest.param(lambda t: 1.0, id="constant"),
+    pytest.param(lambda t: [t * t, 2], id="list"),
+])
+def test_both_from_functions_sample_bit_equal_to_per_node_stacking(fn):
+    grid = make_grid(1.0, 64, 0.25)
+    path = SamplePath.from_function(grid, fn)
+    eta = InitialSegment.from_function(fn, 0.25, grid.h)
+    for got, times in [(path.values, grid.times()), (eta.values, eta.times())]:
+        want = stacked_per_node(fn, times)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_per_node_value_of_two_dimensions_is_a_grid_error():
+    # per-node stacking would have turned each 2 x 2 value into two extra rows
+    grid = make_grid(1.0, 8, 0.25)
+    with pytest.raises(GridError, match="1-D or 2-D"):
+        SamplePath.from_function(grid, lambda t: np.eye(2) * t)
+    with pytest.raises(GridError, match="1-D or 2-D"):
+        InitialSegment.from_function(lambda t: np.ones((1, 1)), 0.25, grid.h)
 
 
 def test_initial_segment_zero_delay_is_a_point():
@@ -297,6 +348,18 @@ def test_csv_rejects_a_malformed_body_with_a_grid_error(body, message):
         with pytest.raises(GridError, match=message) as caught:
             read_path_csv(io.StringIO("t,x_1\n" + body))
     assert "usecols" not in str(caught.value) and "float64" not in str(caught.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param("t,x_1,x_2\n0,1\n0.5,2\n1,3\n", "rows do not match header width",
+                 id="header-wider-than-rows"),
+    pytest.param("t,x_1\n1,1\n0.5,2\n0,3\n", "strictly increasing", id="decreasing-times"),
+    pytest.param("t,x_1\n0,1\n0.25,2\n1,3\n", "not uniformly spaced", id="non-uniform"),
+    pytest.param("t,x_1\n0.1,1\n0.2,2\n0.3,3\n", "contain t = 0", id="no-node-at-zero"),
+])
+def test_csv_refuses_a_table_that_is_no_grid(text, message):
+    with pytest.raises(GridError, match=message):
+        read_path_csv(io.StringIO(text))
 
 
 @pytest.mark.parametrize("t0", [1e-17, -1e-17, 1e-12, -1e-12])

@@ -36,6 +36,17 @@ def test_integrating_one_reproduces_driver_increments(rough_driver):
     assert np.array_equal(res.path.values[:, 0], rough_driver.values[:, 0])
 
 
+def test_a_scalar_integrand_integrates_each_driver_component_on_its_own():
+    grid = make_grid(1.0, 256)
+    f = generate_fbm(grid, FbmConfig(hurst=0.7, seed=5))
+    g = generate_fbm(grid, FbmConfig(hurst=0.6, dim=2, seed=6))
+    both = young_integral(f, g)
+    assert both.certificate is None and both.path.values.shape == (257, 2)
+    for c in range(2):
+        alone = young_integral(f, SamplePath(grid, g.values[:, c]))
+        assert np.array_equal(both.path.values[:, c], alone.path.values[:, 0])
+
+
 def test_integral_is_linear_in_the_integrand(rough_driver):
     grid = rough_driver.grid
     f1 = SamplePath.from_function(grid, lambda t: np.sin(t))
