@@ -22,29 +22,22 @@ import json
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
-from .config import SCHEMAS, ConfigError, check_recorded_config, resolve_config
+from .config import SCHEMAS, ConfigError, build_run, check_recorded_config, resolve_config
 from .convergence import (
     default_delays,
     evaluate_convergence_gates,
     lp_convergence_study,
     rate_fit,
 )
-from .fbm import FbmConfig, generate_fbm
-from .grids import (
-    InitialSegment,
-    atomic_open,
-    float_text,
-    make_grid,
-    read_path_csv,
-    write_path_csv,
-)
+from .fbm import generate_fbm
+from .grids import InitialSegment, atomic_open, float_text, read_path_csv, write_path_csv
 from .integrate import young_integral
 from .manifest import _jsonable, read_manifest, record_run, verify_outputs
 from .norms import compute_norm_report
-from .presets import coefficient_preset, eta_preset
-from .solver import DivergenceError, SolverConfig, solve
+from .solver import DivergenceError, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,16 +45,8 @@ EXIT_USAGE = 2
 EXIT_GATE = 3
 
 
-def _driver_path(cfg: dict, r: float = 0.0, dim: int = 1):
-    grid = make_grid(cfg["horizon"], cfg["n_main"], r)
-    fbm_cfg = FbmConfig(
-        hurst=cfg["hurst"], dim=dim, seed=cfg["seed"], method=cfg["method"]
-    )
-    return generate_fbm(grid, fbm_cfg)
-
-
-def _run_fbm(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
-    path = _driver_path(cfg, r=cfg["r"], dim=cfg["dim"])
+def _run_fbm(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path], int]:
+    path = generate_fbm(run.grid, run.fbm)
     out = outdir / "path.csv"
     write_path_csv(path, out)
     print(
@@ -71,11 +56,8 @@ def _run_fbm(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
     return [out], EXIT_OK
 
 
-def _run_norms(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
-    if cfg["input"]:
-        path = read_path_csv(cfg["input"])
-    else:
-        path = _driver_path(cfg, r=cfg["r"])
+def _run_norms(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path], int]:
+    path = read_path_csv(cfg["input"]) if cfg["input"] else generate_fbm(run.grid, run.fbm)
     report = compute_norm_report(path, cfg["alpha"], lam=cfg["lam"], delta=cfg["delta"])
     out = outdir / "norms.csv"
     columns = (
@@ -99,13 +81,12 @@ def _run_norms(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
     return [out], EXIT_OK
 
 
-def _run_integrate(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
+def _run_integrate(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path], int]:
     if cfg["f_input"]:
         f = read_path_csv(cfg["f_input"])
         g = read_path_csv(cfg["g_input"])
     else:
-        g = _driver_path(cfg)
-        f = g
+        f = g = generate_fbm(run.grid, run.fbm)
     scalar = f.dim == 1 and g.dim == 1
     result = young_integral(f, g, alpha=cfg["alpha"] if scalar else None)
     out = outdir / "integral.csv"
@@ -126,24 +107,10 @@ def _run_integrate(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
     return outputs, EXIT_OK
 
 
-def _run_solve(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
-    grid = make_grid(cfg["horizon"], cfg["n_main"], cfg["r"])
-    driver = generate_fbm(
-        grid.main_only(),
-        FbmConfig(hurst=cfg["hurst"], dim=1, seed=cfg["seed"], method=cfg["method"]),
-    )
-    eta = InitialSegment.from_function(eta_preset(cfg["eta"]), cfg["r"], grid.h)
-    coeffs = coefficient_preset(cfg["preset"])
-    solver_cfg = SolverConfig(
-        alpha=cfg["alpha"],
-        grid=grid,
-        scheme=cfg["scheme"],
-        lam=cfg["lam"],
-        picard_tol=cfg["picard_tol"],
-        picard_max_iter=cfg["picard_max_iter"],
-        hurst=cfg["hurst"],
-    )
-    bundle = solve(coeffs, eta, driver, solver_cfg)
+def _run_solve(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path], int]:
+    driver = generate_fbm(run.grid.main_only(), run.fbm)
+    eta = InitialSegment.from_function(run.eta, cfg["r"], run.grid.h)
+    bundle = solve(run.coeffs, eta, driver, run.solver)
     out = outdir / "solution.csv"
     write_path_csv(bundle.path, out)
     record = {
@@ -208,17 +175,12 @@ print("wrote convergence.png")
 '''
 
 
-def _run_converge(cfg: dict, outdir: Path) -> tuple[list[Path], int]:
+def _run_converge(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path], int]:
     delays = default_delays(cfg["horizon"], range(cfg["k_min"], cfg["k_max"] + 1))
-    coeffs = coefficient_preset(cfg["preset"])
-    eta_fn = eta_preset(cfg["eta"])
-    fbm_cfg = FbmConfig(
-        hurst=cfg["hurst"], dim=1, seed=cfg["seed"], method=cfg["method"]
-    )
     report = lp_convergence_study(
-        coeffs,
-        eta_fn,
-        fbm_cfg,
+        run.coeffs,
+        run.eta,
+        run.fbm,
         cfg["alpha"],
         delays,
         p_list=(1.0, 2.0),
@@ -271,10 +233,11 @@ _EXECUTORS = {
 
 
 def _execute(subcommand: str, cfg: dict) -> int:
+    """Run the objects build_run builds from cfg and record the run in the manifest."""
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    outputs, code = _EXECUTORS[subcommand](cfg, outdir)
+    outputs, code = _EXECUTORS[subcommand](cfg, build_run(subcommand, cfg), outdir)
     duration = time.perf_counter() - start
     record_run(outdir, subcommand, cfg, cfg["seed"], __version__, duration, outputs)
     return code

@@ -5,8 +5,10 @@ environment variables with the ``SDDELAB_`` prefix, a flat ``key=value``
 config file, and command-line flags.  Every key is declared per
 subcommand; unknown keys in a config file are an error, and so are
 ``SDDELAB_``-prefixed variables that match no declared key anywhere.
-A resolved or recorded config is checked by building the objects its
-run builds (validate_config), so each admissibility rule has one home
+build_run is the one place a config becomes its run's objects: the
+driver config, the grid, the solver config and the presets.  Validation
+of a resolved or recorded config builds them through it, and so does the
+run itself, a rerun included.  So each admissibility rule has one home,
 and a refused config raises ConfigError before any output is made.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 from .fbm import FbmConfig
@@ -194,36 +197,50 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
-    """Reject inadmissible values by building the objects a run builds.
+def build_run(subcommand: str, cfg: Mapping[str, Any]) -> SimpleNamespace:
+    """Build the objects a run of subcommand is made from; each checks its keys.
 
-    Each rule lives with the object that uses it: FbmConfig, make_grid,
-    SolverConfig (for every subcommand with an alpha), delta_r's window
-    and the presets, whose ValueError becomes a ConfigError; a path input
-    replaces the driver, so it skips FbmConfig and make_grid.  Stated here
-    are only finiteness (a NaN lam or an infinite picard_tol passes those
-    objects), the integrate input pairing and the delay ladder of converge.
+    fbm (the FbmConfig) and grid are None when a path input replaces the
+    driver, whose H is then unknown, so alpha need only lie in (0, 1/2).
+    solver is the SolverConfig of every subcommand with an alpha, and
+    coeffs and eta are the presets (None where the schema has none).
+    Where the schema has delta, Delta_r's window is checked too.  An
+    inadmissible value raises the ValueError of the object that refuses it.
+    """
+    schema = SCHEMAS[subcommand]
+    run = SimpleNamespace(fbm=None, grid=None, solver=None, coeffs=None, eta=None)
+    if not (cfg.get("input") or cfg.get("f_input") or cfg.get("g_input")):
+        run.fbm = FbmConfig(
+            hurst=cfg["hurst"], dim=cfg.get("dim", 1), seed=cfg["seed"], method=cfg["method"]
+        )
+        run.grid = make_grid(cfg["horizon"], cfg["n_main"], cfg.get("r", 0.0))
+    if "alpha" in schema:
+        solver_keys = ("scheme", "lam", "picard_tol", "picard_max_iter")
+        run.solver = SolverConfig(
+            alpha=cfg["alpha"], grid=run.grid, hurst=run.fbm.hurst if run.fbm else None,
+            **{key: cfg[key] for key in solver_keys if key in schema},
+        )
+    if "delta" in schema:
+        check_delta_window(cfg["alpha"], cfg["delta"])
+    if "preset" in schema:
+        run.coeffs = coefficient_preset(cfg["preset"])
+        run.eta = eta_preset(cfg["eta"])
+    return run
+
+
+def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
+    """Reject inadmissible values by building the run (build_run).
+
+    Stated here are only finiteness (a NaN lam or an infinite picard_tol
+    passes the built objects), the integrate input pairing and the delay
+    ladder of converge; every other refusal is build_run's ValueError,
+    raised as a ConfigError.
     """
     for name, opt in SCHEMAS[subcommand].items():
         if opt.kind in ("float", "maybe_float") and cfg[name] is not None:
             _require(math.isfinite(cfg[name]), f"{name} must be finite, got {cfg[name]}")
     try:
-        grid = hurst = None  # a read path's H is unknown: alpha only in (0, 1/2)
-        if not (cfg.get("input") or cfg.get("f_input") or cfg.get("g_input")):
-            hurst = cfg["hurst"]
-            FbmConfig(hurst=hurst, dim=cfg.get("dim", 1), seed=cfg["seed"], method=cfg["method"])
-            grid = make_grid(cfg["horizon"], cfg["n_main"], cfg.get("r", 0.0))
-        if "alpha" in cfg:
-            solver_keys = ("scheme", "lam", "picard_tol", "picard_max_iter")
-            SolverConfig(
-                alpha=cfg["alpha"], grid=grid, hurst=hurst,
-                **{key: cfg[key] for key in solver_keys if key in cfg},
-            )
-        if "delta" in cfg:
-            check_delta_window(cfg["alpha"], cfg["delta"])
-        if "preset" in cfg:
-            coefficient_preset(cfg["preset"])
-            eta_preset(cfg["eta"])
+        build_run(subcommand, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if subcommand == "integrate":

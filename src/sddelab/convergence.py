@@ -79,19 +79,18 @@ class ConvergenceReport:
 
 def _delay_distances(
     coeffs: CoefficientSet,
-    eta_fn: Callable[[float], float],
+    etas: Sequence[InitialSegment],
     drivers: Sequence[SamplePath],
     alpha: float,
-    delays: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Alpha-norm and sup distances of X vs each X^r, plus Lambda_alpha, per driver.
 
-    X and every X^r of every driver are stepped together by euler_paths,
-    one (driver, delay) batch; the distances of the whole batch come from
-    one kernel call and the Lambda_alpha values from one sweep.
+    etas holds the initial segments of X (delay 0) and of every X^r.  X and
+    every X^r of every driver are stepped together by euler_paths, one
+    (driver, delay) batch; the distances of the whole batch come from one
+    kernel call and the Lambda_alpha values from one sweep.
     """
     h, n_main = drivers[0].grid.h, drivers[0].grid.n_main
-    etas = [InitialSegment.from_function(eta_fn, r, h) for r in (0.0,) + tuple(delays)]
     X = euler_paths(coeffs, etas, drivers)
     diff = X[:, :1, -n_main - 1 :] - X[:, 1:, -n_main - 1 :]
     del X  # the distance sweep below sets the study's memory peak
@@ -104,16 +103,22 @@ def _delay_distances(
 def _study_report(
     coeffs: CoefficientSet,
     eta_fn: Callable[[float], float],
+    h: float,
     chunks: Iterable[Sequence[SamplePath]],
     alpha: float,
     delays: Sequence[float],
     p_list: Sequence[float],
     seeds: Sequence[int],
 ) -> ConvergenceReport:
-    """Solve each chunk of drivers as one batch and summarize every row."""
+    """Solve each chunk of drivers as one batch and summarize every row.
+
+    h is the drivers' step.  The initial segments are sampled on it once
+    per study, before any chunk is drawn.
+    """
     _check_alpha(alpha)  # before any solve, not after the first chunk
     delays = tuple(float(r) for r in delays)
-    parts = [_delay_distances(coeffs, eta_fn, drivers, alpha, delays) for drivers in chunks]
+    etas = [InitialSegment.from_function(eta_fn, r, h) for r in (0.0,) + delays]
+    parts = [_delay_distances(coeffs, etas, drivers, alpha) for drivers in chunks]
     da, ds, lams = (np.concatenate(part) for part in zip(*parts))
     n_seeds = da.shape[0]
     means = np.empty((len(p_list), len(delays)))
@@ -151,7 +156,8 @@ def pathwise_convergence_study(
     whole number of its steps.
     """
     seed = int((g.meta or {}).get("seed", -1))
-    return _study_report(coeffs, eta_fn, [[main_segment(g)]], alpha, delays, p_list, (seed,))
+    g = main_segment(g)
+    return _study_report(coeffs, eta_fn, g.grid.h, [[g]], alpha, delays, p_list, (seed,))
 
 
 def lp_convergence_study(
@@ -170,16 +176,18 @@ def lp_convergence_study(
     Driver i is derived from the master seed with path index i, and the
     same path serves every delay.  Drivers are solved in chunks of seeds,
     one batch per chunk; every row equals its own per-path solve, so the
-    result does not depend on the chunking.
+    result does not depend on the chunking.  Alpha must lie in the
+    driver's window (1 - H, 1/2), checked before any driver is drawn.
     """
     if n_seeds < 30:
         raise ValueError(f"n_seeds must be >= 30 for the Monte Carlo study, got {n_seeds}")
+    check_alpha_window(alpha, fbm_cfg.hurst)
     grid0 = make_grid(float(T), int(n_main), 0.0)
     chunks = (
         [generate_fbm(grid0, fbm_cfg, index=i) for i in range(lo, min(lo + _SEED_CHUNK, n_seeds))]
         for lo in range(0, n_seeds, _SEED_CHUNK)
     )
-    return _study_report(coeffs, eta_fn, chunks, alpha, delays, p_list, range(n_seeds))
+    return _study_report(coeffs, eta_fn, grid0.h, chunks, alpha, delays, p_list, range(n_seeds))
 
 
 @dataclass(frozen=True)

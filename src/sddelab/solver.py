@@ -26,8 +26,8 @@ import numpy as np
 
 from .grids import GridError, InitialSegment, SamplePath, TimeGrid, require_same_grid, same_step
 from .integrate import PathWindow
-from .norms import NormReport, _check_alpha, check_alpha_window, compute_norm_report, lambda_alpha
-from .norms import norm_alpha_infty, norm_alpha_lambda
+from .norms import NormReport, _check_alpha, alpha_infty_rows, check_alpha_window, lambda_alpha
+from .norms import compute_norm_report, norm_alpha_infty, norm_alpha_lambda
 
 __all__ = [
     "CoefficientSet",
@@ -557,11 +557,10 @@ def validate_hypotheses(
 def eta_norm_alpha(eta: InitialSegment, alpha: float) -> float:
     """Alpha-norm of the history segment over [-r, 0].
 
-    The norm is shift-invariant, so the segment is re-read as a path on
-    [0, r] and passed through the ordinary entry point.
+    The norm is shift-invariant, so the segment's values are measured as
+    one path on its own step, as norm_alpha_infty measures a path from node 0.
     """
-    grid = TimeGrid(0.0, eta.n_steps * eta.h, 0, eta.n_steps, eta.h)
-    return norm_alpha_infty(SamplePath(grid, eta.values), alpha)
+    return float(alpha_infty_rows(eta.values, alpha, eta.h))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,26 @@ import os
 import numpy as np
 import pytest
 
-from sddelab import cli, compute_norm_report, fbm, read_path_csv
+from sddelab import (
+    FbmConfig,
+    SolverConfig,
+    cli,
+    coefficient_preset,
+    compute_norm_report,
+    eta_preset,
+    fbm,
+    make_grid,
+    read_path_csv,
+)
 from sddelab.cli import main
-from sddelab.config import ConfigError, check_recorded_config, parse_config_file, resolve_config
+from sddelab.config import (
+    SCHEMAS,
+    ConfigError,
+    build_run,
+    check_recorded_config,
+    parse_config_file,
+    resolve_config,
+)
 from sddelab.manifest import read_manifest, sha256_file, verify_outputs
 
 
@@ -89,6 +106,42 @@ def test_exponent_constraint_names_the_interval(capsys, tmp_path):
     assert "(0.25, 0.5)" in err
     assert "alpha" in err and "hurst" in err
     assert not (tmp_path / "x").exists()
+
+
+#: the grid and SolverConfig of each subcommand, built by hand from the README's defaults
+_GRID, _SOLVE_GRID = make_grid(1.0, 4096), make_grid(1.0, 4096, 0.25)
+BUILT_AT_DEFAULTS = {
+    "fbm": (_GRID, None),
+    "norms": (_GRID, SolverConfig(alpha=0.3, grid=_GRID, lam=1.0, hurst=0.75)),
+    "integrate": (_GRID, SolverConfig(alpha=0.3, grid=_GRID, hurst=0.75)),
+    "solve": (_SOLVE_GRID, SolverConfig(
+        alpha=0.3, grid=_SOLVE_GRID, scheme="picard", lam=None, picard_tol=1e-8,
+        picard_max_iter=50, hurst=0.75,
+    )),
+    "converge": (_GRID, SolverConfig(alpha=0.3, grid=_GRID, hurst=0.75)),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(BUILT_AT_DEFAULTS))
+def test_build_run_at_the_defaults_builds_the_documented_objects(subcommand):
+    run = build_run(subcommand, resolve_config(subcommand, None, {}, environ={}))
+    grid, solver = BUILT_AT_DEFAULTS[subcommand]
+    assert run.fbm == FbmConfig(hurst=0.75, dim=1, seed=0, method="circulant")
+    assert run.grid == grid
+    assert run.solver == solver
+    has_presets = "preset" in SCHEMAS[subcommand]
+    assert run.coeffs == (coefficient_preset("sine") if has_presets else None)
+    assert run.eta is (eta_preset("constant") if has_presets else None)
+
+
+@pytest.mark.parametrize("subcommand, flags, solver", [
+    ("norms", {"input": "unread.csv"}, SolverConfig(alpha=0.3, grid=None, lam=1.0)),
+    ("integrate", {"f_input": "f.csv", "g_input": "g.csv"}, SolverConfig(alpha=0.3, grid=None)),
+])
+def test_build_run_with_a_path_input_builds_no_driver(subcommand, flags, solver):
+    run = build_run(subcommand, resolve_config(subcommand, None, flags, environ={}))
+    assert run.fbm is None and run.grid is None
+    assert run.solver == solver  # no hurst: the path's H is unknown
 
 
 def test_converge_requires_step_aligned_delays():

@@ -262,6 +262,37 @@ def test_monte_carlo_study_needs_enough_seeds():
         )
 
 
+def test_monte_carlo_study_refuses_alpha_outside_the_window_before_any_draw(monkeypatch):
+    # H = 0.75 admits alpha in (0.25, 1/2); alpha = 0.2 lies in (0, 1/2) but not there
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a driver was drawn")
+
+    monkeypatch.setattr(convergence, "generate_fbm", no_draw)
+    with pytest.raises(ValueError, match="not admissible"):
+        lp_convergence_study(
+            coefficient_preset("sine"), eta_preset("constant"),
+            FbmConfig(hurst=0.75, seed=0), 0.2, DELAYS,
+            n_seeds=30, n_main=128,
+        )
+
+
+def test_initial_segments_are_sampled_once_per_study(monkeypatch):
+    # two seed chunks share the segments of X and of every X^r
+    monkeypatch.setattr(convergence, "_SEED_CHUNK", 16)
+    sampled, from_function = [], InitialSegment.from_function
+
+    def counted(eta, r, h):
+        sampled.append(r)
+        return from_function(eta, r, h)
+
+    monkeypatch.setattr(InitialSegment, "from_function", staticmethod(counted))
+    lp_convergence_study(
+        coefficient_preset("sine"), eta_preset("constant"),
+        FbmConfig(hurst=0.75, seed=0), ALPHA, DELAYS, n_seeds=30, n_main=64,
+    )
+    assert sampled == [0.0, *DELAYS]
+
+
 def test_monte_carlo_study_moments_and_gates():
     report = lp_convergence_study(
         coefficient_preset("sine"), eta_preset("constant"),

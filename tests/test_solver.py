@@ -14,6 +14,7 @@ from sddelab import (
     InitialSegment,
     SamplePath,
     SolverConfig,
+    TimeGrid,
     a_priori_bound_report,
     a_priori_record,
     coefficient_preset,
@@ -23,6 +24,7 @@ from sddelab import (
     euler_paths,
     generate_fbm,
     make_grid,
+    norm_alpha_infty,
     norm_alpha_lambda,
     phi_gamma_alpha,
     regime_report,
@@ -427,6 +429,12 @@ def test_eta_norm_of_constant_segment_is_its_magnitude():
     assert eta_norm_alpha(point, ALPHA) == pytest.approx(2.0)
     ramp = InitialSegment.from_function(lambda t: 1.0 + t, 0.5, 0.0625)
     assert eta_norm_alpha(ramp, ALPHA) >= 1.0
+
+
+def test_eta_norm_is_the_alpha_norm_of_the_segment_read_as_a_path_on_0_r():
+    eta = InitialSegment.from_function(lambda t: np.array([np.sin(7.0 * t), t * t]), 0.5, 1 / 64)
+    grid = TimeGrid(0.0, eta.n_steps * eta.h, 0, eta.n_steps, eta.h)
+    assert eta_norm_alpha(eta, ALPHA) == norm_alpha_infty(SamplePath(grid, eta.values), ALPHA)
 
 
 # --- declared-constant audits and regimes ---------------------------------
