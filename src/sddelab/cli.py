@@ -33,7 +33,7 @@ from .convergence import (
     rate_fit,
 )
 from .fbm import generate_fbm
-from .grids import InitialSegment, atomic_open, float_text, read_path_csv, write_path_csv
+from .grids import InitialSegment, atomic_open, read_path_csv, write_csv, write_path_csv
 from .integrate import young_integral
 from .manifest import _jsonable, read_manifest, record_run, verify_outputs
 from .norms import compute_norm_report
@@ -60,20 +60,18 @@ def _run_norms(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path
     path = read_path_csv(cfg["input"]) if cfg["input"] else generate_fbm(run.grid, run.fbm)
     report = compute_norm_report(path, cfg["alpha"], lam=cfg["lam"], delta=cfg["delta"])
     out = outdir / "norms.csv"
-    columns = (
-        ("alpha", report.alpha),
-        ("lambda", report.lam),
-        ("norm_alpha_infty", report.norm_alpha_infty),
-        ("holder", report.norm_holder),
-        ("alpha_lambda", report.norm_alpha_lambda),
-        ("Lambda_alpha", report.lambda_alpha),
-        ("Delta_r", report.delta_r),
-        ("norm_1ma", report.norm_1ma),
-        ("norm_alpha_1", report.norm_alpha_1),
-    )
-    with atomic_open(out) as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
-        fh.write(",".join(float_text(value) for _, value in columns) + "\n")
+    columns = {
+        "alpha": report.alpha,
+        "lambda": report.lam,
+        "norm_alpha_infty": report.norm_alpha_infty,
+        "holder": report.norm_holder,
+        "alpha_lambda": report.norm_alpha_lambda,
+        "Lambda_alpha": report.lambda_alpha,
+        "Delta_r": report.delta_r,
+        "norm_1ma": report.norm_1ma,
+        "norm_alpha_1": report.norm_alpha_1,
+    }
+    write_csv(out, list(columns), [list(columns.values())])
     print(
         f"norms: alpha={report.alpha:g} |f|_a={report.norm_alpha_infty:.6g} "
         f"Lambda_a={report.lambda_alpha:.6g} -> {out}"
@@ -192,24 +190,15 @@ def _run_converge(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[P
     gates = evaluate_convergence_gates(report, fit)
 
     samples = outdir / "samples.csv"
-    with atomic_open(samples) as fh:
-        fh.write("seed,r,dist_alpha,dist_sup,Lambda_alpha\n")
-        for i, seed in enumerate(report.seeds):
-            lam_i = report.lambda_alpha_samples[i]
-            for j, r in enumerate(report.delays):
-                fh.write(
-                    f"{seed},{float_text(r)},{float_text(report.dist_alpha[i, j])},"
-                    f"{float_text(report.dist_sup[i, j])},{float_text(lam_i)}\n"
-                )
+    write_csv(samples, ["seed", "r", "dist_alpha", "dist_sup", "Lambda_alpha"], [
+        (seed, r, report.dist_alpha[i, j], report.dist_sup[i, j], report.lambda_alpha_samples[i])
+        for i, seed in enumerate(report.seeds) for j, r in enumerate(report.delays)
+    ])
     summary = outdir / "summary.csv"
-    with atomic_open(summary) as fh:
-        fh.write("r,p,mean,stderr\n")
-        for j, r in enumerate(report.delays):
-            for i, p in enumerate(report.p_list):
-                fh.write(
-                    f"{float_text(r)},{p:g},{float_text(report.lp_means[i, j])},"
-                    f"{float_text(report.lp_stderr[i, j])}\n"
-                )
+    write_csv(summary, ["r", "p", "mean", "stderr"], [
+        (r, p, report.lp_means[i, j], report.lp_stderr[i, j])
+        for j, r in enumerate(report.delays) for i, p in enumerate(report.p_list)
+    ])
     plot = outdir / "plot_convergence.py"
     with atomic_open(plot) as fh:
         fh.write(_PLOT_SCRIPT)

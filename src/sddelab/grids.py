@@ -31,7 +31,7 @@ __all__ = [
     "shift_by_delay",
     "main_segment",
     "atomic_open",
-    "float_text",
+    "write_csv",
     "write_path_csv",
     "read_path_csv",
 ]
@@ -305,15 +305,10 @@ def main_segment(x: SamplePath) -> SamplePath:
 
 
 # ---------------------------------------------------------------- CSV format #
-# One shared on-disk format: header "t,x_1,...,x_d", one row per node in
-# ascending time, decimal values with 17 significant digits (lossless for
-# float64).  Every CSV the package writes, the CLI's included, uses FLOAT_FORMAT.
+# One shared on-disk format: a header line, then one row per line of
+# comma-joined decimals with 17 significant digits (FLOAT_FORMAT, lossless for
+# float64).  write_csv writes every CSV the package outputs, the CLI's included.
 FLOAT_FORMAT = "%.17g"
-
-
-def float_text(x: float) -> str:
-    """x in FLOAT_FORMAT, the lossless text of a number in every CSV."""
-    return FLOAT_FORMAT % float(x)
 
 
 @contextlib.contextmanager
@@ -341,23 +336,32 @@ def atomic_open(file):
         raise
 
 
+def write_csv(file, header: Sequence[str], table) -> None:
+    """Write header and one FLOAT_FORMAT row per row of a 2-D number table.
+
+    file is an open text file, or a filesystem path written through
+    atomic_open.  A table that is not 2-D, or whose width is not
+    len(header), is a ValueError raised before any file is opened.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(
+            f"a CSV table must be 2-D with {len(header)} columns, got shape {table.shape}"
+        )
+    is_path = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
+    with atomic_open(file) if is_path else contextlib.nullcontext(file) as fh:
+        fh.write(",".join(header) + "\n")
+        row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
+        # a %.17g field is at most 24 characters: about 0.5 MB of text per call
+        for blk in _row_blocks(len(table), 24 * table.shape[1]):
+            block = table[blk]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_path_csv(path: SamplePath, file) -> None:
-    """Write path to an open text file, or through atomic_open to a filesystem path."""
-    if not (isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")):
-        _write_csv_text(path, file)
-        return
-    with atomic_open(file) as fh:
-        _write_csv_text(path, fh)
-
-
-def _write_csv_text(path: SamplePath, fh) -> None:
-    fh.write("t," + ",".join(f"x_{i + 1}" for i in range(path.dim)) + "\n")
-    table = np.column_stack((path.times(), path.values))
-    row = ",".join([FLOAT_FORMAT] * table.shape[1]) + "\n"
-    # a %.17g field is at most 24 characters: about 0.5 MB of text per call
-    for blk in _row_blocks(len(table), 24 * table.shape[1]):
-        block = table[blk]
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    """Write path by write_csv: header "t,x_1,...,x_d", one row per node in ascending time."""
+    header = ["t"] + [f"x_{i + 1}" for i in range(path.dim)]
+    write_csv(file, header, np.column_stack((path.times(), path.values)))
 
 
 def read_path_csv(file) -> SamplePath:

@@ -15,6 +15,7 @@ from sddelab import (
     compute_norm_report,
     eta_preset,
     fbm,
+    grids,
     make_grid,
     read_path_csv,
 )
@@ -27,7 +28,7 @@ from sddelab.config import (
     parse_config_file,
     resolve_config,
 )
-from sddelab.manifest import read_manifest, sha256_file, verify_outputs
+from sddelab.manifest import read_manifest, record_run, sha256_file, verify_outputs
 
 
 def run(args):
@@ -515,6 +516,28 @@ def test_rerun_reproduces_bytes(tmp_path):
         assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_a_solve_from_the_zero_segment_reruns_byte_identically(tmp_path):
+    first = tmp_path / "first"
+    assert run(["solve", "--eta", "zero", "--preset", "additive", "--n-main", 512,
+                "--outdir", first]) == 0
+    solution = read_path_csv(first / "solution.csv")
+    assert not solution.history_values().any()
+    again = tmp_path / "again"
+    assert run(["rerun", "--manifest", first, "--outdir", again]) == 0
+    for name in ("solution.csv", "record.json"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_a_recorded_config_stores_numpy_scalars_as_json_numbers(tmp_path):
+    config = {"n_main": np.int64(64), "hurst": np.float32(0.75), "delays": (np.float64(0.5),)}
+    record_run(tmp_path, "fbm", config, np.int64(3), "0.1.0", 0.0, [])
+    line = json.loads((tmp_path / "manifest.jsonl").read_text())
+    assert line["config"] == {"n_main": 64, "hurst": 0.75, "delays": [0.5]}
+    assert type(line["config"]["n_main"]) is int and line["seed"] == 3
+    (record,) = read_manifest(tmp_path)
+    assert record.config == line["config"]
+
+
 def test_rerun_detects_tampering(tmp_path):
     first = tmp_path / "first"
     assert run(["fbm", "--outdir", first, "--n-main", 64]) == 0
@@ -619,15 +642,8 @@ def test_a_failing_output_writer_keeps_the_earlier_file(tmp_path, monkeypatch):
     out = tmp_path / "o"
     assert run(["norms", "--outdir", out, "--n-main", 64]) == 0
     before = (out / "norms.csv").read_bytes()
-    fmt, count = cli.float_text, []
-
-    def failing(x):  # the header is written, then the fourth value fails
-        count.append(x)
-        if len(count) > 3:
-            raise OSError("device full")
-        return fmt(x)
-
-    monkeypatch.setattr(cli, "float_text", failing)
+    # the header line reaches the temporary file, then the first row fails to format
+    monkeypatch.setattr(grids, "FLOAT_FORMAT", "%.17q")
     assert run(["norms", "--outdir", out, "--n-main", 64, "--seed", 3]) == 1
     assert (out / "norms.csv").read_bytes() == before
     assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl", "norms.csv"]

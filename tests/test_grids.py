@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sddelab import _singular
-from sddelab.grids import ALIGNMENT_TOL, aligned_steps, atomic_open
+from sddelab.grids import ALIGNMENT_TOL, FLOAT_FORMAT, aligned_steps, atomic_open
 from sddelab import (
     DelayAlignmentError,
     GridError,
@@ -19,6 +20,7 @@ from sddelab import (
     make_grid,
     read_path_csv,
     shift_by_delay,
+    write_csv,
     write_path_csv,
 )
 
@@ -325,6 +327,57 @@ def test_a_writer_failing_partway_leaves_the_earlier_file(tmp_path):
         fh.write("new\n")
     assert target.read_bytes() == b"new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["record.json"]
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 2.0**53, -(2.0**53)]
+
+
+FINITE_ENTRIES = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-(2**53), 2**53).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=FINITE_ENTRIES))
+@example(table=np.array(SPECIAL_FLOATS).reshape(2, 4))
+def test_write_csv_round_trips_through_loadtxt_bit_for_bit(table):
+    header = [f"c{i}" for i in range(table.shape[1])]
+    buf = io.StringIO()
+    write_csv(buf, header, table)
+    text = buf.getvalue()
+    assert text.splitlines()[0] == ",".join(header)
+    back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    assert back.shape == table.shape and back.tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("header,table", [
+    pytest.param(["a", "b"], np.zeros((3, 3)), id="width-differs-from-header"),
+    pytest.param(["a", "b"], np.zeros((2, 2, 2)), id="three-dimensional"),
+])
+def test_write_csv_refuses_a_table_before_opening_a_file(tmp_path, header, table):
+    with pytest.raises(ValueError, match="2-D with 2 columns"):
+        write_csv(tmp_path / "t.csv", header, table)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_csv_of_no_rows_writes_only_the_header(tmp_path):
+    write_csv(tmp_path / "t.csv", ["r", "p"], np.empty((0, 2)))
+    assert (tmp_path / "t.csv").read_text() == "r,p\n"
+
+
+def test_write_csv_gives_the_text_of_per_field_formatting():
+    # integers up to 2^53 and p in (1, 2) print as str and :g print them
+    rows = [(seed, r, p, x) for seed in (0, 7, 2**53) for r, p, x in
+            [(0.25, 1.0, 1 / 3), (0.125, 2.0, -1e-300)]]
+    buf = io.StringIO()
+    write_csv(buf, ["seed", "r", "p", "x"], rows)
+    assert buf.getvalue() == "seed,r,p,x\n" + "".join(
+        f"{seed},{FLOAT_FORMAT % r},{p:g},{FLOAT_FORMAT % x}\n" for seed, r, p, x in rows
+    )
 
 
 def test_csv_rejects_bad_header():

@@ -600,3 +600,17 @@ def test_signed_sweeps_reject_vector_rows():
     _grid, rows = fbm_rows(1, dim=2)
     with pytest.raises(ValueError, match="scalar-only"):
         anchored_sweep(rows, ALPHA, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.25, 1 / 64])
+def test_hat_weights_at_kappa_one_take_the_log_kernel_mass(h):
+    # no caller passes kappa = 1: the log branch is the limit of its neighbours
+    P, Q = hat_weights(1.0, h, 8)
+    lag = np.arange(2, 9, dtype=float)
+    np.testing.assert_allclose((P + Q)[2:], np.log(lag / (lag - 1.0)), rtol=1e-14, atol=0.0)
+    assert (P[1], Q[1]) == (0.0, 1.0)
+    for kappa in (1.0 - 1e-7, 1.0 + 1e-7):
+        P_near, Q_near = hat_weights(kappa, h, 8)
+        # below 1 the first near weight is finite and of order 1 / (1 - kappa)
+        np.testing.assert_allclose(P_near[2:], P[2:], rtol=1e-6, atol=0.0)
+        np.testing.assert_allclose(Q_near[1:], Q[1:], rtol=1e-6, atol=0.0)
