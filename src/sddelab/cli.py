@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -35,7 +34,7 @@ from .convergence import (
 from .fbm import generate_fbm
 from .grids import InitialSegment, atomic_open, read_path_csv, write_csv, write_path_csv
 from .integrate import young_integral
-from .manifest import _jsonable, read_manifest, record_run, verify_outputs
+from .manifest import read_manifest, record_run, verify_outputs, write_json
 from .norms import compute_norm_report
 from .solver import DivergenceError, solve
 
@@ -93,8 +92,7 @@ def _run_integrate(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[
     if result.certificate is not None:
         cert = result.certificate
         cert_path = outdir / "certificate.json"
-        with atomic_open(cert_path) as fh:
-            fh.write(json.dumps(dataclasses.asdict(cert), sort_keys=True, indent=2) + "\n")
+        write_json(cert_path, cert)
         outputs.append(cert_path)
         status = "satisfied" if cert.satisfied else "VIOLATED"
         print(
@@ -111,21 +109,12 @@ def _run_solve(cfg: dict, run: SimpleNamespace, outdir: Path) -> tuple[list[Path
     bundle = solve(run.coeffs, eta, driver, run.solver)
     out = outdir / "solution.csv"
     write_path_csv(bundle.path, out)
-    record = {
-        "preset": cfg["preset"],
-        "scheme_used": bundle.scheme_used,
-        "iterations": bundle.iterations,
-        "converged": bundle.converged,
-        "lam": bundle.lam,
-        "lam_formula": bundle.lam_formula,
-        "residuals": list(bundle.residuals),
-        "norms": dataclasses.asdict(bundle.norm_report),
-        "a_priori": dataclasses.asdict(bundle.a_priori),
-        "regime": dataclasses.asdict(bundle.regime),
-    }
+    # record.json: every bundle field but the path, norm_report named norms
+    record = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)}
+    del record["path"]
+    record.update(norms=record.pop("norm_report"), preset=cfg["preset"])
     rec_path = outdir / "record.json"
-    with atomic_open(rec_path) as fh:
-        fh.write(json.dumps(_jsonable(record), sort_keys=True, indent=2) + "\n")
+    write_json(rec_path, record)
     tail = f"{bundle.iterations} iterations, lam={bundle.lam:g}" if bundle.lam else "direct"
     print(f"solve[{cfg['preset']}]: {bundle.scheme_used} ({tail}) -> {out}")
     if not bundle.converged:

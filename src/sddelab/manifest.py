@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from .grids import atomic_open
+
 MANIFEST_NAME = "manifest.jsonl"
 
 
@@ -46,6 +48,8 @@ def sha256_file(path: Path | str) -> str:
 
 
 def _jsonable(value: Any) -> Any:
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = dataclasses.asdict(value)
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -53,6 +57,14 @@ def _jsonable(value: Any) -> Any:
     if hasattr(value, "item"):  # numpy scalar
         return value.item()
     return value
+
+
+def write_json(file, value: Any) -> None:
+    """The one JSON output writer: sorted keys, 2-space indent, a trailing newline,
+    through atomic_open.  A value json cannot encode raises before any file opens."""
+    text = json.dumps(_jsonable(value), sort_keys=True, indent=2) + "\n"
+    with atomic_open(file) as fh:
+        fh.write(text)
 
 
 def record_run(

@@ -8,7 +8,8 @@ with the stochastic term a pathwise Young integral against the driver g.
 Euler is the production scheme (explicit because the sigma argument lags
 by r); Picard iterates the integral operator directly and serves as the
 fidelity and uniqueness instrument.  euler_paths steps every Euler path,
-as a batch of drivers times initial segments; solve_euler is its batch of one.
+as a batch of drivers times initial segments; solve_euler and Picard's
+Euler start are its batch of one.
 
 Both schemes discretize the integrals with left-point sums on the same
 grid, so the discrete Picard operator is causal: its unique fixed point
@@ -19,7 +20,7 @@ and diffusion are Lipschitz on the visited range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,6 +172,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolutionBundle:
+    """The one statement of a solve's results: record.json is every field but path."""
+
     path: SamplePath
     scheme_used: str
     iterations: int = 0
@@ -204,11 +207,15 @@ def contraction_lambda(lambda_alpha_value: float, alpha: float) -> float:
     """Weight for the Picard contraction norm, scaled to the driver roughness.
 
     lambda = max(1, (4 (1 + Lambda_alpha))^(1/(1-2 alpha))).  The exact
-    proof constants are unavailable; this is a documented heuristic.
+    proof constants are unavailable; this is a documented heuristic.  It
+    reads inf where the power overflows (alpha near 1/2); stopping_lambda caps it.
     """
     if lambda_alpha_value < 0:
         raise ValueError("Lambda_alpha must be >= 0")
-    return max(1.0, (4.0 * (1.0 + lambda_alpha_value)) ** (1.0 / (1.0 - 2 * alpha)))
+    try:
+        return max(1.0, (4.0 * (1.0 + lambda_alpha_value)) ** (1.0 / (1.0 - 2 * alpha)))
+    except OverflowError:
+        return math.inf
 
 
 def stopping_lambda(lam_formula: float, picard_tol: float, horizon: float) -> float:
@@ -258,35 +265,22 @@ def _finish(
     g: SamplePath,
     cfg: SolverConfig,
     path: SamplePath,
-    scheme: str,
-    iterations: int = 0,
-    lam: float | None = None,
-    lam_formula: float | None = None,
-    converged: bool = True,
-    residuals: tuple[float, ...] = (),
     lam_g: float | None = None,
+    **solved,
 ) -> SolutionBundle:
-    """Bundle a solved path; the report reuses lam_g = Lambda_alpha(g) when given."""
-    report = a_pri = reg = None
+    """The one SolutionBundle of a solve: path, the scheme's solved fields and,
+    with cfg.compute_report, the reports (reusing lam_g = Lambda_alpha(g) if given)."""
     if cfg.compute_report:
-        lam_used = lam if lam is not None else 1.0
         report = compute_norm_report(
-            path, cfg.alpha, lam=lam_used, r=path.grid.r, driver=g, driver_lambda=lam_g
+            path, cfg.alpha, lam=solved.get("lam") or 1.0, r=path.grid.r,
+            driver=g, driver_lambda=lam_g,
         )
-        a_pri = a_priori_record(path, eta, g, coeffs, cfg.alpha, report=report)
-        reg = regime_report(coeffs, cfg.alpha, cfg.hurst)
-    return SolutionBundle(
-        path=path,
-        scheme_used=scheme,
-        iterations=iterations,
-        lam=lam,
-        lam_formula=lam_formula,
-        converged=converged,
-        residuals=residuals,
-        norm_report=report,
-        a_priori=a_pri,
-        regime=reg,
-    )
+        solved.update(
+            norm_report=report,
+            a_priori=a_priori_record(path, eta, g, coeffs, cfg.alpha, report=report),
+            regime=regime_report(coeffs, cfg.alpha, cfg.hurst),
+        )
+    return SolutionBundle(path=path, **solved)
 
 
 def euler_paths(
@@ -347,8 +341,8 @@ def solve_euler(
     """Explicit Euler recursion on cfg.grid: euler_paths for one driver and one segment."""
     grid = cfg.grid
     _check_inputs(coeffs, eta, g, grid)
-    path = SamplePath(grid, euler_paths(coeffs, [eta], [g])[0, 0], meta={"scheme": "euler"})
-    return _finish(coeffs, eta, g, cfg, path, "euler")
+    path = SamplePath(grid, euler_paths(coeffs, [eta], [g])[0, 0])
+    return _finish(coeffs, eta, g, cfg, path, scheme_used="euler")
 
 
 def _apply_operator(
@@ -393,8 +387,7 @@ def solve_picard(
     if lam is None:
         lam = stopping_lambda(lam_formula, cfg.picard_tol, grid.t_end)
     if cfg.picard_init == "euler":
-        ecfg = replace(cfg, scheme="euler", compute_report=False)
-        y = solve_euler(coeffs, eta, g, ecfg).path.values.copy()
+        y = euler_paths(coeffs, [eta], [g])[0, 0]
     else:
         y = np.pad(eta.values, ((0, grid.n_main), (0, 0)), "edge")
     residuals: list[float] = []
@@ -412,11 +405,10 @@ def solve_picard(
         if res < cfg.picard_tol:
             converged = True
             break
-    path = SamplePath(grid, y, meta={"scheme": "picard", "iterations": iterations})
     return _finish(
-        coeffs, eta, g, cfg, path, "picard",
+        coeffs, eta, g, cfg, SamplePath(grid, y), lam_g, scheme_used="picard",
         iterations=iterations, lam=lam, lam_formula=lam_formula,
-        converged=converged, residuals=tuple(residuals), lam_g=lam_g,
+        converged=converged, residuals=tuple(residuals),
     )
 
 

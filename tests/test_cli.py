@@ -1,5 +1,6 @@
 """Command-line behavior: precedence, exit codes, outputs, reruns."""
 
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from sddelab.config import (
     parse_config_file,
     resolve_config,
 )
-from sddelab.manifest import read_manifest, record_run, sha256_file, verify_outputs
+from sddelab.manifest import read_manifest, record_run, sha256_file, verify_outputs, write_json
 
 
 def run(args):
@@ -435,6 +436,32 @@ def test_a_picard_solve_that_stops_at_its_iteration_cap_exits_1(tmp_path, capsys
         assert sha256_file(out / name) == digest
 
 
+@pytest.mark.parametrize("scheme", ["picard", "euler"])
+def test_record_json_holds_the_bundle_fields_and_the_preset(tmp_path, scheme):
+    # a field added to SolutionBundle changes the digested record, so it fails here
+    out = tmp_path / "s"
+    assert run(["solve", "--outdir", out, "--n-main", 128, "--scheme", scheme]) == 0
+    rec = json.loads((out / "record.json").read_text())
+    assert sorted(rec) == sorted([
+        "preset", "scheme_used", "iterations", "converged", "lam", "lam_formula",
+        "residuals", "norms", "a_priori", "regime",
+    ])
+    assert rec["scheme_used"] == scheme and rec["preset"] == "sine"
+
+
+def test_a_picard_solve_with_alpha_near_one_half_caps_an_overflowing_weight(tmp_path):
+    # alpha = 0.499 lies in (1 - H, 1/2), and the contraction weight overflows
+    first = tmp_path / "first"
+    assert run(["solve", "--alpha", 0.499, "--n-main", 256, "--outdir", first]) == 0
+    rec = json.loads((first / "record.json").read_text())
+    assert rec["lam_formula"] == math.inf
+    assert rec["lam"] == math.log(1e8) / 2.0 and rec["converged"] is True
+    again = tmp_path / "again"
+    assert run(["rerun", "--manifest", first, "--outdir", again]) == 0
+    for name in ("solution.csv", "record.json"):
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
 def test_solve_euler_scheme_selected_by_flag(tmp_path):
     out = tmp_path / "se"
     assert run([
@@ -536,6 +563,40 @@ def test_a_recorded_config_stores_numpy_scalars_as_json_numbers(tmp_path):
     assert type(line["config"]["n_main"]) is int and line["seed"] == 3
     (record,) = read_manifest(tmp_path)
     assert record.config == line["config"]
+
+
+def test_write_json_sorts_keys_indents_by_two_and_ends_with_a_newline(tmp_path):
+    write_json(tmp_path / "x.json", {"b": 1, "a": [2.5, None]})
+    assert (tmp_path / "x.json").read_text() == (
+        '{\n  "a": [\n    2.5,\n    null\n  ],\n  "b": 1\n}\n'
+    )
+
+
+def test_write_json_converts_numpy_scalars_tuples_and_nested_dataclasses(tmp_path):
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        flag: np.bool_
+        pair: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        count: np.int64
+        inner: Inner
+
+    write_json(tmp_path / "x.json", Outer(np.int64(3), Inner(np.bool_(True), (np.float64(0.5), 1))))
+    got = json.loads((tmp_path / "x.json").read_text())
+    assert got == {"count": 3, "inner": {"flag": True, "pair": [0.5, 1]}}
+    assert type(got["count"]) is int and got["inner"]["flag"] is True
+
+
+def test_write_json_of_an_unencodable_value_keeps_the_earlier_file(tmp_path):
+    target = tmp_path / "x.json"
+    write_json(target, {"a": 1})
+    before = target.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(target, {"a": object()})
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
 
 
 def test_rerun_detects_tampering(tmp_path):

@@ -459,6 +459,20 @@ def test_a_nan_node_gives_nan_holder_and_integral_norms(n, dim, seed, data):
     assert math.isnan(norm_alpha_1(bad, ALPHA))
 
 
+@pytest.mark.parametrize("n, scale", [(2, 1.0), (3, 1e-300), (257, 1.0), (4096, 1e300)])
+def test_norm_alpha_1_sums_its_increment_term_as_numpy_trapezoid_does(n, scale):
+    # norm_alpha_1 spells out numpy's trapezoid formula; numpy < 2 names the
+    # reference trapz, which a numpy 1.x run checks here
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    grid = make_grid(1.0, n)
+    f = SamplePath(grid, scale * np.random.default_rng(n).standard_normal((grid.n_nodes, 1)))
+    term1 = _singular.cumulative_from_zero(np.abs(f.values[:, 0]), ALPHA, grid.h)[-1]
+    E = _singular.backward_increment_integrals(f.values, ALPHA + 1.0, grid.h, start=0)
+    want = float(term1) + float(trapezoid(E, dx=grid.h))
+    assert math.isfinite(want)
+    assert norm_alpha_1(f, ALPHA) == want
+
+
 #: non-finite nodes of a 65-node ramp, by index
 NON_FINITE = {
     "one-inf": {20: np.inf},

@@ -1,6 +1,7 @@
 """Solver exactness oracles, fixed-point behavior, and structural reports."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -248,6 +249,29 @@ def test_picard_iterations_and_residuals_are_pinned(preset):
     assert (bundle.iterations, bundle.residuals) == PICARD_PINS[preset]
 
 
+# the same runs from the Euler start: iterations, residuals and the sha256 of
+# the path's bytes, which the causal operator fixes after one iteration
+EULER_START_PINS = {
+    "additive": (1, (2.6375829966015474e-15,),
+                 "36a3e98882741cbee000ab326638505178ddc032d00ac401bd94d5d5cdc2e0d5"),
+    "hereditary-sup": (1, (4.411484749371927e-15,),
+                       "e979b7509477ffb23f686f3379791aa8321a8e2f7dd93d81f576de31eb0f25f1"),
+    "linear": (1, (3.4538416813705845e-15,),
+               "8991b0d70a66c4c48a9fcbedeb517799b1091a11e87a9356e5d2999463c630fc"),
+    "sine": (1, (2.84301419134156e-15,),
+             "a83d106b51d9ab31f80833ec7f0152f9d0612ecc4c3eafd3c8a0b26fe6902593"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PICARD_PINS))
+def test_picard_from_the_euler_start_is_pinned(preset):
+    grid = make_grid(1.0, 256, 0.25)
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, picard_init="euler", compute_report=False)
+    bundle = solve_picard(coefficient_preset(preset), parts(grid), driver_on(grid, seed=3), cfg)
+    digest = hashlib.sha256(bundle.path.values.tobytes()).hexdigest()
+    assert (bundle.iterations, bundle.residuals, digest) == EULER_START_PINS[preset]
+
+
 def test_two_starting_points_land_on_the_same_fixed_point():
     grid = make_grid(1.0, 256, 0.25)
     g = driver_on(grid, seed=12)
@@ -412,6 +436,12 @@ def test_contraction_weight_grows_with_the_driver():
     assert all(a < b for a, b in zip(vals, vals[1:]))
     # closed form at Lambda = 2: (4 (1 + 2))^(1 / (1 - 0.6))
     assert contraction_lambda(2.0, 0.3) == pytest.approx(12.0 ** 2.5)
+
+
+def test_contraction_weight_overflowing_a_float_reads_inf():
+    # (4 * 4)^(1/0.002) = 16^500 is past the largest float
+    assert contraction_lambda(3.0, 0.499) == math.inf
+    assert stopping_lambda(math.inf, 1e-8, 1.0) == math.log(1e8) / 2.0
 
 
 def test_stopping_weight_caps_the_formula():
