@@ -27,8 +27,10 @@ it lets the sups bound whole pieces of lags by the path's range over them
 (_piece_boxes).  The sups over nodes (backward_increment_sups), anchored
 pairs (anchored_sweep) and lags (holder_seminorm) share one skeleton,
 _certified_sups: an exact head, certified bounds on the rest, exact
-values only where a bound can reach the sup (_raise_to_exact, which sorts
-nothing), and the full sweep for rows with a non-finite entry or bound.
+values only where a bound can reach the sup (_raise_to_exact: each row's
+largest bound first, then in one chunked pass every item whose bound
+still beats its row's best), and the full sweep for rows with a
+non-finite entry or bound.
 Each equals its full sweep bit for bit, since a max does not depend on
 the order of its visits.
 
@@ -83,6 +85,7 @@ def quadrature_slack(scale: float | np.ndarray) -> float | np.ndarray:
     return SLACK_ABS + SLACK_REL * np.abs(scale)
 
 
+@functools.lru_cache(maxsize=16)
 def hat_weights(kappa: float, h: float, n_cells: int):
     """Hat-function weights of the kernel v**(-kappa) on uniform cells.
 
@@ -94,11 +97,14 @@ def hat_weights(kappa: float, h: float, n_cells: int):
     For kappa >= 1 the near weight of the first cell is set to zero: the
     integral only converges when the integrand vanishes at the anchor, and
     then the anchor value contributes nothing.
+
+    Each (kappa, h, n_cells) is computed once; the cached arrays are
+    read-only, shared by every caller.
     """
     if not 0.0 <= kappa < 2.0:
         raise ValueError(f"kernel exponent kappa={kappa} outside [0, 2)")
     if n_cells < 1:
-        return np.zeros(1), np.zeros(1)
+        return _read_only(np.zeros(1), np.zeros(1))
     singular = kappa >= 1.0
     l = np.arange(n_cells + 1, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -116,7 +122,14 @@ def hat_weights(kappa: float, h: float, n_cells: int):
     Q = m1 / h - l[:-1] * m0
     if singular:
         P[0] = 0.0
-    return np.concatenate(([0.0], P)), np.concatenate(([0.0], Q))
+    return _read_only(np.concatenate(([0.0], P)), np.concatenate(([0.0], Q)))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, flagged read-only (a cached table must not be written)."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _non_finite_rule(kernel):
@@ -338,8 +351,9 @@ def _certified_sups(rows, min_nodes, bounded, swept):
     pruned = np.flatnonzero(~full)
     for blk in _row_blocks(len(pruned), 4 * rows[:1].nbytes):
         idx = pruned[blk]
+        run = idx[-1] - idx[0] == len(idx) - 1  # a run of rows is read as a view
         with np.errstate(over="ignore"):  # an overflowed best or bound sends its row to the sweep
-            best, bound, exact = bounded(idx)
+            best, bound, exact = bounded(slice(idx[0], idx[-1] + 1) if run else idx)
         overflow = ~(np.isfinite(bound).all(axis=1) & np.isfinite(best))
         bound[overflow] = -np.inf
         _raise_to_exact(best, bound, exact, rows[0].nbytes)
@@ -369,11 +383,8 @@ def _piece_boxes(v: np.ndarray, H: int, m: int, reach: int = 0):
     box [lo, hi] at node j - lag holds every node that node j sees at the
     lags lag - reach..lag + width - 1.
     """
-    lags = [H + 1]  # first lag of each piece
-    while lags[-1] < m:
-        lags.append(lags[-1] + (1 << max(0, lags[-1].bit_length() - 1 - _SPLIT)))
     hi, lo, span = v.copy(), v.copy(), 1
-    for lag, width in zip(lags, np.diff(lags).tolist()):
+    for lag, width in _pieces(H, m):
         while span < width + reach:
             np.maximum(hi[..., span:], hi[..., :-span], out=hi[..., span:])
             np.minimum(lo[..., span:], lo[..., :-span], out=lo[..., span:])
@@ -381,11 +392,20 @@ def _piece_boxes(v: np.ndarray, H: int, m: int, reach: int = 0):
         yield lag, width, hi, lo
 
 
+def _pieces(H: int, m: int) -> list[tuple[int, int]]:
+    """(first lag, width) of each piece of the lags H+1..m-1 (the last one may run past m - 1)."""
+    lags = [H + 1]
+    while lags[-1] < m:
+        lags.append(lags[-1] + (1 << max(0, lags[-1].bit_length() - 1 - _SPLIT)))
+    return list(zip(lags, np.diff(lags).tolist()))
+
+
 def _box_distance(v, hi, lo, lag: int, plain: bool, delta: float = 1.0) -> np.ndarray:
     """|dev|^delta at the nodes j >= lag: dev is the largest distance from v[j]
     to the box [lo, hi] at node j - lag, euclidean over components."""
     cur = v[..., lag:]
-    dev = np.maximum(cur - lo[..., :-lag], hi[..., :-lag] - cur)
+    dev = cur - lo[..., :-lag]
+    np.maximum(dev, hi[..., :-lag] - cur, out=dev)
     return _increment_magnitude(dev, delta, plain)
 
 
@@ -397,7 +417,10 @@ def _margin(bound: np.ndarray, m: int) -> np.ndarray:
     value, so ties stay exact.
     """
     slack = 4 * (m + 16)
-    return np.where(bound == 0.0, 0.0, bound * (1.0 + slack * _EPS) + slack * _TINY)
+    out = bound * (1.0 + slack * _EPS)
+    out += slack * _TINY
+    out[bound == 0.0] = 0.0
+    return out
 
 
 def _raise_to_exact(best, bound, exact, row_bytes):
@@ -405,39 +428,27 @@ def _raise_to_exact(best, bound, exact, row_bytes):
 
     bound[r, k] (no NaN) dominates the value exact(r, k) of item k (a
     node, an anchor or a lag) of row r, for arrays of rows r and items k.
-    Each round takes the k largest bounds left in every live row
-    (_take_largest), reduces those that exceed the row's best, and retires
-    the rows in which no bound left exceeds their best; k doubles up to the
-    _BLOCK_BYTES cap.  A round sorts nothing: its k argmax passes cost
-    O(k x live rows x items), the order of the round's exact sums.  best, a
+    Two passes, neither of which sorts: the first reduces each live row's
+    largest bound, which mostly lifts best to its final value, and spends
+    it (-inf) in place; the second reduces every item whose bound still
+    exceeds its row's best, in (row, item) chunks of about half _BLOCK_BYTES
+    of window rows (one window row holds at most row_bytes), each chunk
+    leaving out the items that the chunks before it have beaten.  best, a
     max, is updated in place and does not depend on the order of the visits.
     """
-    n = bound.shape[1]
     live = np.flatnonzero(bound.max(axis=1, initial=-np.inf) > best)
-    left, k = bound[live], 1  # the live rows' bounds, the spent ones -inf
-    while len(live):
-        top, top_bound = _take_largest(left, min(k, n))
-        rl, c = np.nonzero(top_bound > best[live, None])
-        vals = np.full(top.shape, -np.inf)
-        vals[rl, c] = exact(live[rl], top[rl, c])
-        best[live] = np.maximum(best[live], vals.max(axis=1))
-        k = min(2 * k, max(1, _BLOCK_BYTES // (4 * row_bytes * len(live))))
-        keep = left.max(axis=1) > best[live]
-        if not keep.all():
-            live, left = live[keep], left[keep]
-
-
-def _take_largest(left, k):
-    """(columns, values) of the k largest entries of each row of left, by k
-    passes of argmax; spends them (-inf) in place."""
-    rows = np.arange(len(left))
-    top = np.empty((len(left), k), dtype=np.intp)
-    top_bound = np.empty((len(left), k))
-    for i in range(k):
-        top[:, i] = j = left.argmax(axis=1)
-        top_bound[:, i] = left[rows, j]
-        left[rows, j] = -np.inf
-    return top, top_bound
+    if not len(live):
+        return
+    top = bound[live].argmax(axis=1)
+    best[live] = np.maximum(best[live], exact(live, top))
+    bound[live, top] = -np.inf
+    r, k = np.nonzero(bound > best[:, None])
+    step = max(1, _BLOCK_BYTES // (2 * row_bytes))
+    for lo in range(0, len(r), step):
+        rc, kc = r[lo : lo + step], k[lo : lo + step]
+        beats = bound[rc, kc] > best[rc]
+        if beats.any():
+            np.maximum.at(best, rc[beats], exact(rc[beats], kc[beats]))
 
 
 def _pruned_sups(v, lev, w, kappa, h, delta):
@@ -453,8 +464,7 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
     3. exact sums those nodes from lag H + 1 on (_continued).
     """
     m = v.shape[-1]
-    P, Q = hat_weights(kappa, h, m)
-    W = Q[1:-1] + P[2:]  # W[l-1] weights lag l, as in backward_increment_integrals
+    P, W, piece_sums = _pruned_weights(kappa, h, m)
     H = min(_HEAD_LAGS, m - 1)
     plain = _plain_rows(v)
     acc, far = _lag_sums(v, W, P, H, delta, plain)
@@ -463,38 +473,60 @@ def _pruned_sups(v, lev, w, kappa, h, delta):
     head += lev[:, : H + 1]
     best = np.max(_weighted(head, None if w is None else w[: H + 1]), axis=1)
 
-    bound = acc.copy()
-    for lag, width, hi, lo in _piece_boxes(v, H, m):
-        dev = _box_distance(v, hi, lo, lag, plain, delta)
-        cw = np.cumsum(W[lag - 1 : lag - 1 + width])
-        dev[:, : len(cw) - 1] *= cw[:-1]  # node lag + i sees only lags lag..lag + i
-        dev[:, len(cw) - 1 :] *= cw[-1]
-        bound[:, lag:] += dev
-    bound = _margin(bound, m)
+    bound = _margin(_node_bounds(v, acc, piece_sums, H, plain, delta), m)
     bound += lev
     bound = _weighted(bound[:, H + 1 :], None if w is None else w[H + 1 :])
 
-    # reversed rows, padded with their first value: the lags H+1.. of node j
-    # read the contiguous window rev[..., m - j + H:]
+    # reversed rows, padded with their first value: the lags H.. of node j
+    # read the contiguous window rev[..., m - 1 - j + H:]
     rev = np.concatenate([v[..., ::-1], np.repeat(v[..., :1], m, axis=-1)], axis=-1)
     return best, bound, lambda r, k: _continued(
         v, rev, acc, far, lev, w, W, plain, r, k + H + 1, H, delta
     )
 
 
+def _node_bounds(v, acc, piece_sums, H, plain, delta):
+    """acc plus every later piece's bound at each node, without the margin (step 2 of _pruned_sups)."""
+    bound = acc.copy()
+    for lag, width, hi, lo in _piece_boxes(v, H, v.shape[-1]):
+        dev = _box_distance(v, hi, lo, lag, plain, delta)
+        cw = piece_sums[lag - 1 : lag - 1 + width]
+        dev[:, : len(cw) - 1] *= cw[:-1]  # node lag + i sees only lags lag..lag + i
+        dev[:, len(cw) - 1 :] *= cw[-1]
+        bound[:, lag:] += dev
+    return bound
+
+
+@functools.lru_cache(maxsize=16)
+def _pruned_weights(kappa: float, h: float, m: int):
+    """(P, W, piece_sums) of _pruned_sups on rows of m nodes, cached and read-only.
+
+    P is hat_weights(kappa, h, m)'s near weights, W[l-1] = Q[l] + P[l+1]
+    weights lag l as in backward_increment_integrals, and for the lags l
+    past the head piece_sums[l-1] sums W over the lags of l's piece
+    (_pieces) up to l, as the bounds' cumsum did per call.
+    """
+    P, Q = hat_weights(kappa, h, m)
+    W = Q[1:-1] + P[2:]
+    piece_sums = np.zeros_like(W)
+    for lag, width in _pieces(min(_HEAD_LAGS, m - 1), m):
+        np.cumsum(W[lag - 1 : lag - 1 + width], out=piece_sums[lag - 1 : lag - 1 + width])
+    return (P,) + _read_only(W, piece_sums)
+
+
 def _continued(v, rev, acc, far, lev, w, W, plain, r, j, H, delta):
     """Exact w (a + I) at the nodes j of the rows r: the kernel's sums from lag H + 1 on.
 
-    Each node's lags H+1..j are read as one window of the reversed row and
-    added to its head sum by a sequential cumsum; the window runs on past
-    lag j into the padding, and the sum is read off at lag j.
+    Each node's lags H..j are read as one window of the reversed row; lag
+    H's place takes the head sum, and the later lags are added to it by a
+    sequential cumsum.  The window runs on past lag j into the padding,
+    and the sum is read off at lag j.
     """
     n_lag = j.max() - H
-    phi = _increment_magnitude(_windows(rev, r, v.shape[-1] - 1 - j, H + 1, n_lag), delta, plain)
-    terms = np.empty((len(j), n_lag + 1))
+    terms = _increment_magnitude(_windows(rev, r, v.shape[-1] - 1 - j, H, n_lag + 1), delta, plain)
     terms[:, 0] = acc[r, j]
     with np.errstate(over="ignore"):  # only the lags past j can overflow
-        np.multiply(phi, W[H : H + n_lag], out=terms[:, 1:])
+        terms[:, 1:] *= W[H : H + n_lag]
         I = np.cumsum(terms, axis=1, out=terms)[np.arange(len(j)), j - H]
     I -= far[r, j - 1]
     I += lev[r, j]

@@ -177,14 +177,18 @@ def norm_alpha_lambda(
     (lambda = 0 recovers norm_alpha_infty).
     """
     _check_alpha(alpha)
+    s0 = f.grid.history_start(r)
+    return float(_alpha_sups(f.values, alpha, f.grid.h, s0, _damping(lam, f.grid.times()[s0:])))
+
+
+def _damping(lam: float, times: np.ndarray) -> np.ndarray:
+    """The weights e^(-lambda t) of norm_alpha_lambda at the node times."""
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    s0 = f.grid.history_start(r)
     # large lambda overflows the history weight e^(lambda r); the sup counts a
     # node with an exactly zero profile as 0, not inf * 0 = nan
     with np.errstate(over="ignore"):
-        weights = np.exp(-lam * f.grid.times()[s0:])
-    return float(_alpha_sups(f.values, alpha, f.grid.h, s0, weights))
+        return np.exp(-lam * times)
 
 
 def weyl_derivative(g: SamplePath, alpha: float, s: float, t: float) -> float:

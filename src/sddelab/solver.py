@@ -27,8 +27,9 @@ import numpy as np
 
 from .grids import GridError, InitialSegment, SamplePath, TimeGrid, require_same_grid, same_step
 from .integrate import PathWindow
-from .norms import NormReport, _check_alpha, alpha_infty_rows, check_alpha_window, lambda_alpha
-from .norms import compute_norm_report, norm_alpha_infty, norm_alpha_lambda
+from ._singular import _magnitude, _weighted
+from .norms import NormReport, _alpha_sups, _check_alpha, _damping, alpha_infty_rows
+from .norms import check_alpha_window, compute_norm_report, lambda_alpha, norm_alpha_infty
 
 __all__ = [
     "CoefficientSet",
@@ -80,7 +81,10 @@ class CoefficientSet:
 
     sigma(t, x) maps states of shape (..., d) to (..., d, m), elementwise
     over the leading batch axes; t is a float or node times of shape
-    (..., 1).  The drift b(t, window) reads the paths on [-r, t] through a
+    (..., 1) that broadcast against the states.  It is called once per
+    Picard iteration (all main fronts, t of shape (n_main, 1)) and once
+    per block of L Euler steps of euler_paths (t of shape (L, 1, 1, 1)).
+    The drift b(t, window) reads the paths on [-r, t] through a
     PathWindow: window.current and the running max window.sup(), (..., d)
     per front and row; a pointwise drift b(t, X(t)) reads only current.
     It is called once per Picard iteration (all main fronts), once per
@@ -297,8 +301,16 @@ def euler_paths(
     segment e in its last etas[e].n_steps + n_main + 1 nodes, history
     copied bit-exactly.  This is the one batch that pads: the nodes before
     a shorter history repeat its first value, which no caller reads and no
-    PathWindow functional sees.  Each row equals its batch-of-one solve
-    bit for bit, since the one-path operation order is kept.
+    PathWindow functional sees.
+
+    The steps run in blocks of L = 1 + the shortest segment's steps: every
+    sigma argument of a block lies at or before its first node, so sigma
+    and the driver term sigma dg are evaluated once per block, with t of
+    shape (L, 1, 1, 1) and states of shape (L, len(drivers), len(etas), d);
+    a batch holding r = 0 steps one node a block.  Each step keeps only
+    the drift call, the update, the finiteness check and the window's
+    advance.  Each row equals its batch-of-one solve bit for bit, since
+    the one-path operation order is kept.
     """
     main = drivers[0].grid.main_only()
     _check_batch(coeffs, etas, drivers, main)
@@ -312,25 +324,32 @@ def euler_paths(
     for e, eta in enumerate(etas):
         X[:, e, : i0 + 1] = np.pad(eta.values, ((i0 - eta.n_steps, 0), (0, 0)), "edge")
     dg = np.diff(np.stack([g.values for g in drivers]), axis=1)[:, None]
-    lags = np.broadcast_to(lags, batch)
-    # row-major node number of each row's sigma argument, less k
-    lag_nodes = np.arange(len(drivers) * len(etas)).reshape(batch) * nodes - lags
     steps = np.moveaxis(dg, -2, 0)[..., None]
-    sigma_shape = batch + (d, coeffs.m)
+    L = int(lags.min()) + 1
+    # at[i]: the flat node number of each row's sigma argument at step i of
+    # the block; it starts a block before the first and moves on L a block
+    at = np.arange(len(drivers) * len(etas)).reshape(batch) * nodes - lags
+    at = at + np.arange(i0 - L, i0).reshape((L, 1, 1))
+    t_col = times.reshape((-1, 1, 1, 1))
+    block_shape = (-1,) + batch + (d, coeffs.m)
     drift_fn, sigma_fn = coeffs.drift, coeffs.sigma
+    flat = X.reshape(-1, d)
     window = PathWindow(X, i0)
+    x = X[..., i0, :]
     for j in range(n):
         k = i0 + j
-        t_k = times[k]
-        x = X[..., k, :]
-        bv = np.asarray(drift_fn(t_k, window), dtype=float).reshape(x.shape)
-        lagged = X.reshape(-1, d).take(lag_nodes + k, axis=0)
-        sv = np.asarray(sigma_fn(t_k, lagged), dtype=float).reshape(sigma_shape)
-        new = x + bv * h + (sv @ steps[j])[..., 0]
-        X[..., k + 1, :] = new
-        if not np.isfinite(new).all():
-            row = tuple(np.argwhere(~np.isfinite(new).all(axis=-1))[0])
-            raise DivergenceError(k + 1 - i0 + int(lags[row]), float(times[k + 1]))
+        i = j % L
+        if not i:
+            at += L
+            lagged = flat.take(at[: n - j], axis=0)
+            sv = np.asarray(sigma_fn(t_col[k : k + len(lagged)], lagged), dtype=float)
+            noise = (sv.reshape(block_shape) @ steps[j : j + len(lagged)])[..., 0]
+        bv = np.asarray(drift_fn(times[k], window), dtype=float).reshape(x.shape)
+        x = x + bv * h + noise[i]
+        X[..., k + 1, :] = x
+        if not np.isfinite(x).all():
+            row = tuple(np.argwhere(~np.isfinite(x).all(axis=-1))[0])
+            raise DivergenceError(k + 1 - i0 + int(lags[row[1]]), float(times[k + 1]))
         window._advance()
     return X
 
@@ -376,6 +395,13 @@ def solve_picard(
     stops when the iterate difference drops below picard_tol in the
     lambda-weighted alpha-norm.  Non-convergence within max_iter is
     flagged on the bundle, not raised.
+
+    A residual is norm_alpha_lambda of the difference, and it is never
+    below its level term max_t e^(-lambda t) |difference(t)| (the integral
+    term is >= 0, and rounding is monotone).  So a difference whose level
+    term is at least picard_tol cannot stop the iteration: it waits, and
+    the waiting differences are measured as one batch once a level term
+    falls below picard_tol or at max_iter, bit for bit as one at a time.
     """
     grid = cfg.grid
     _check_inputs(coeffs, eta, g, grid)
@@ -390,7 +416,9 @@ def solve_picard(
         y = euler_paths(coeffs, [eta], [g])[0, 0]
     else:
         y = np.pad(eta.values, ((0, grid.n_main), (0, 0)), "edge")
+    s0 = grid.history_start(grid.r)
     residuals: list[float] = []
+    waiting: list[np.ndarray] = []
     converged = False
     for iterations in range(1, cfg.picard_max_iter + 1):
         y_next = _apply_operator(coeffs, y, grid, times, dg)
@@ -398,11 +426,17 @@ def solve_picard(
         if not finite.all():
             node = int(np.argmin(finite))
             raise DivergenceError(node, float(times[node]))
-        diff = SamplePath(grid, y_next - y)
-        res = norm_alpha_lambda(diff, cfg.alpha, lam, r=grid.r)
-        residuals.append(res)
+        diff = y_next - y
+        waiting.append(diff)
         y = y_next
-        if res < cfg.picard_tol:
+        if iterations == 1:  # after the first divergence check, which a bad lam must not pre-empt
+            weights = _damping(lam, times[s0:])
+        level = np.max(_weighted(_magnitude(diff[s0:], -1), weights))
+        if level >= cfg.picard_tol and iterations < cfg.picard_max_iter:
+            continue
+        diffs, waiting = np.stack(waiting), []
+        residuals += _alpha_sups(diffs, cfg.alpha, grid.h, s0, weights).tolist()
+        if residuals[-1] < cfg.picard_tol:
             converged = True
             break
     return _finish(

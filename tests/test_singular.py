@@ -323,8 +323,8 @@ def test_pruned_sups_of_long_paths_sum_few_nodes(monkeypatch, dim, delta, start)
     data=st.data(),
 )
 def test_raise_to_exact_sums_once_each_node_that_can_beat_the_best(shape, row_bytes, data):
-    # few levels, so bounds tie each other and the best; row_bytes 1 lets k
-    # outgrow a row at once, _BLOCK_BYTES holds it at 1 node a round
+    # few levels, so bounds tie each other and the best; row_bytes 1 and 64
+    # take every later item in one chunk, _BLOCK_BYTES one item a chunk
     n_rows, n = shape
 
     def table(elements):
@@ -339,18 +339,21 @@ def test_raise_to_exact_sums_once_each_node_that_can_beat_the_best(shape, row_by
     best0 = np.array(data.draw(st.lists(
         st.sampled_from([-np.inf, 0.0, 2.0, 3.5, 9.0]), min_size=n_rows, max_size=n_rows
     )))
-    best, visits = best0.copy(), []
+    live = np.flatnonzero(bound.max(axis=1) > best0)
+    best, visits, first_pass = best0.copy(), [], best0.copy()
 
     def evaluate(r, k):
-        # best holds the round's starting values until the round's exact sums return
+        # best holds its value from before the call until the exact sums return
         assert np.all(bound[r, k] > best[r])
         nodes = list(zip(r.tolist(), k.tolist()))
         assert len(set(nodes)) == len(nodes) and not set(nodes) & set(visits)
+        if not visits:  # the first pass: each live row once, at its largest bound
+            assert sorted(r.tolist()) == live.tolist()
+            assert np.array_equal(bound[r, k], bound[r].max(axis=1))
+            first_pass[r] = np.maximum(best0[r], exact[r, k])
+        else:  # later visits: only what beats the row's best after the first pass
+            assert np.all(bound[r, k] > first_pass[r])
         visits.extend(nodes)
-        for row in set(r.tolist()):  # a row's largest bounds go first
-            rest = np.ones(n, bool)
-            rest[[j for i, j in visits if i == row]] = False
-            assert bound[row, k[r == row]].min() >= bound[row, rest].max(initial=-np.inf)
         return exact[r, k]
 
     _singular._raise_to_exact(best, bound.copy(), evaluate, row_bytes)
@@ -614,3 +617,33 @@ def test_hat_weights_at_kappa_one_take_the_log_kernel_mass(h):
         # below 1 the first near weight is finite and of order 1 / (1 - kappa)
         np.testing.assert_allclose(P_near[2:], P[2:], rtol=1e-6, atol=0.0)
         np.testing.assert_allclose(Q_near[1:], Q[1:], rtol=1e-6, atol=0.0)
+
+
+def test_cached_weight_tables_refuse_writes_and_keep_every_kernel_bits():
+    grid, rows = fbm_rows(3, n=300, dim=2)
+    h, profile = grid.h, np.linalg.norm(rows, axis=-1)
+    for table in (*hat_weights(ALPHA + 1.0, h, 300), *_singular._pruned_weights(ALPHA + 1.0, h, 301)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0.0
+
+    def every_kernel():
+        return [
+            backward_increment_integrals(rows, ALPHA + 1.0, h, 0.6, 5),
+            backward_increment_sups(rows, ALPHA + 1.0, h, 0.6, 5),
+            backward_increment_sups(rows[..., :1], ALPHA + 1.0, h, level=profile),
+            anchored_sweep(rows[..., :1], ALPHA, h, 1.0 - ALPHA),
+            anchored_sweep(rows, ALPHA, h, 1.0, signed=False),
+            holder_seminorm(rows, 1.0 - ALPHA, h),
+            backward_profile_integrals(profile, ALPHA, h),
+            iterated_increment_integrals(rows, ALPHA, h),
+            cumulative_from_zero(profile, ALPHA, h),
+        ]
+
+    _singular.hat_weights.cache_clear()
+    _singular._pruned_weights.cache_clear()
+    cold, warm = every_kernel(), every_kernel()
+    with mock.patch.object(_singular, "hat_weights", _singular.hat_weights.__wrapped__), \
+            mock.patch.object(_singular, "_pruned_weights", _singular._pruned_weights.__wrapped__):
+        uncached = every_kernel()
+    for a, b, c in zip(cold, warm, uncached):
+        assert np.array_equal(a, b) and np.array_equal(a, c)

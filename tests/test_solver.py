@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from sddelab import solver
 from sddelab import (
     CoefficientSet,
     DivergenceError,
     FbmConfig,
     GridError,
     InitialSegment,
+    PathWindow,
     SamplePath,
     SolverConfig,
     TimeGrid,
@@ -24,6 +26,7 @@ from sddelab import (
     eta_preset,
     euler_paths,
     generate_fbm,
+    lambda_alpha,
     make_grid,
     norm_alpha_infty,
     norm_alpha_lambda,
@@ -272,6 +275,60 @@ def test_picard_from_the_euler_start_is_pinned(preset):
     assert (bundle.iterations, bundle.residuals, digest) == EULER_START_PINS[preset]
 
 
+def picard_one_residual_at_a_time(coeffs, eta, g, cfg):
+    """solve_picard's loop measuring each residual as its iterate arrives:
+    (iterations, residuals, converged, path values)."""
+    grid = cfg.grid
+    times = grid.times()
+    dg = np.diff(g.values, axis=0)
+    lam = cfg.lam
+    if lam is None:
+        lam_formula = contraction_lambda(lambda_alpha(g, cfg.alpha), cfg.alpha)
+        lam = stopping_lambda(lam_formula, cfg.picard_tol, grid.t_end)
+    if cfg.picard_init == "euler":
+        y = euler_paths(coeffs, [eta], [g])[0, 0]
+    else:
+        y = np.pad(eta.values, ((0, grid.n_main), (0, 0)), "edge")
+    residuals = []
+    for iterations in range(1, cfg.picard_max_iter + 1):
+        y_next = solver._apply_operator(coeffs, y, grid, times, dg)
+        assert np.isfinite(y_next).all()
+        residuals.append(norm_alpha_lambda(SamplePath(grid, y_next - y), cfg.alpha, lam, r=grid.r))
+        y = y_next
+        if residuals[-1] < cfg.picard_tol:
+            return iterations, residuals, True, y
+    return iterations, residuals, False, y
+
+
+TWO_COMPONENTS = CoefficientSet(
+    sigma=lambda t, x: np.sin(x)[..., None] * np.array([[1.0, 0.5], [-0.25, 1.0]]),
+    drift=lambda t, w: -w.current,
+    d=2, m=2,
+)
+
+
+@pytest.mark.parametrize("coeffs,options", [
+    *[pytest.param(coefficient_preset(name), {}, id=name) for name in sorted(PICARD_PINS)],
+    pytest.param(coefficient_preset("sine"), {"picard_max_iter": 3}, id="sine-unconverged"),
+    pytest.param(coefficient_preset("linear"), {"picard_init": "euler"}, id="linear-euler-start"),
+    # the history weights e^(lam r) overflow to inf
+    pytest.param(coefficient_preset("sine"), {"lam": 3000.0}, id="sine-lam-3000"),
+    pytest.param(TWO_COMPONENTS, {}, id="two-components"),
+])
+def test_deferred_picard_residuals_equal_the_one_at_a_time_loop(coeffs, options):
+    grid = make_grid(1.0, 512, 0.25)
+    g = generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, dim=coeffs.m, seed=6))
+    eta = InitialSegment.from_function(lambda t: np.full(coeffs.d, 1.0 + t), grid.r, grid.h)
+    cfg = SolverConfig(alpha=ALPHA, grid=grid, scheme="picard", compute_report=False, **options)
+    with np.errstate(over="ignore"):  # lam = 3000 overflows e^(lam r) in the reference loop
+        iterations, residuals, converged, path = picard_one_residual_at_a_time(coeffs, eta, g, cfg)
+    bundle = solve_picard(coeffs, eta, g, cfg)
+    assert (bundle.iterations, bundle.residuals, bundle.converged) == (
+        iterations, tuple(residuals), converged)
+    assert np.array_equal(bundle.path.values, path)
+    assert converged == ("picard_max_iter" not in options)
+
+
 def test_two_starting_points_land_on_the_same_fixed_point():
     grid = make_grid(1.0, 256, 0.25)
     g = driver_on(grid, seed=12)
@@ -382,6 +439,71 @@ def test_batched_divergence_names_the_exploding_row():
         euler_paths(QUADRATIC_BLOWUP, [ones, eta, ones], [g])
     assert math.isfinite(batch.value.time)
     assert (batch.value.node, batch.value.time) == (single.value.node, single.value.time)
+
+
+def stepwise_euler(coeffs, eta, g):
+    """One path of the Euler recursion, sigma and the drift evaluated at every step."""
+    n, h, lag = g.grid.n_main, g.grid.h, eta.n_steps
+    times = TimeGrid(-lag * h, g.grid.t_end, lag, n, h).times()
+    X = np.concatenate([eta.values, np.empty((n, coeffs.d))])
+    dg = np.diff(g.values, axis=0)
+    window = PathWindow(X, lag)
+    for k in range(lag, lag + n):
+        bv = np.asarray(coeffs.drift(times[k], window), dtype=float).reshape(coeffs.d)
+        sv = np.asarray(coeffs.sigma(times[k], X[k - lag]), dtype=float).reshape(coeffs.d, coeffs.m)
+        X[k + 1] = X[k] + bv * h + (sv @ dg[k - lag][:, None])[:, 0]
+        if not np.isfinite(X[k + 1]).all():
+            raise DivergenceError(k + 1, float(times[k + 1]))
+        window._advance()
+    return X
+
+
+@pytest.mark.parametrize("preset", ["sine", "hereditary-sup"])
+def test_euler_blocks_equal_the_stepwise_recursion_row_by_row(preset):
+    # with the r = 0 row every block is one step; without it a block is
+    # two (r = h), and the rows' own solves run blocks of 2, 4 and 65
+    n = 256
+    grid = make_grid(1.0, n)
+    coeffs = coefficient_preset(preset)
+    drivers = [driver_on(grid, seed=s) for s in range(3)]
+    for delays in ((0.0, grid.h, 3 * grid.h, 0.25), (grid.h, 3 * grid.h, 0.25)):
+        etas = [InitialSegment.from_function(eta_preset("ramp"), r, grid.h) for r in delays]
+        X = euler_paths(coeffs, etas, drivers)
+        for b, g in enumerate(drivers):
+            for e, eta in enumerate(etas):
+                one = euler_paths(coeffs, [eta], [g])[0, 0]
+                assert np.array_equal(X[b, e, -len(one):], one), (delays, b, e)
+                assert np.array_equal(one, stepwise_euler(coeffs, eta, g)), (delays, b, e)
+
+
+def test_euler_blocks_of_a_two_component_driver_equal_the_stepwise_recursion():
+    coeffs = CoefficientSet(
+        sigma=lambda t, x: np.sin(x)[..., None] * np.array([[1.0, 0.5], [-0.25, 1.0]]),
+        drift=lambda t, w: -w.sup(),
+        d=2, m=2,
+    )
+    grid = make_grid(1.0, 128)
+    g = generate_fbm(grid.main_only(), FbmConfig(hurst=HURST, dim=2, seed=3))
+    for r in (0.0, 5 * grid.h):
+        eta = InitialSegment.from_function(lambda t: np.array([1.0, -t]), r, grid.h)
+        assert np.array_equal(euler_paths(coeffs, [eta], [g])[0, 0], stepwise_euler(coeffs, eta, g))
+
+
+def test_a_row_diverging_mid_block_fails_where_the_stepwise_recursion_fails():
+    # lags 12 and 8 make blocks of 9 steps; b = x^2 blows the second row up
+    # at a step that does not start a block, while sigma still reads its past
+    n = 64
+    grid = make_grid(1.0, n)
+    g = driver_on(grid, seed=5)
+    quadratic = dataclasses.replace(QUADRATIC_BLOWUP, sigma=coefficient_preset("sine").sigma)
+    calm = InitialSegment.from_function(lambda t: 0.0, 12 * grid.h, grid.h)
+    wild = InitialSegment.from_function(lambda t: 40.0, 8 * grid.h, grid.h)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as step:
+        stepwise_euler(quadratic, wild, g)
+    assert (step.value.node - wild.n_steps - 1) % (wild.n_steps + 1) != 0
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as batch:
+        euler_paths(quadratic, [calm, wild], [g])
+    assert (batch.value.node, batch.value.time) == (step.value.node, step.value.time)
 
 
 def test_solve_dispatches_on_scheme():
