@@ -231,10 +231,10 @@ def build_run(subcommand: str, cfg: Mapping[str, Any]) -> SimpleNamespace:
 def validate_config(subcommand: str, cfg: Mapping[str, Any]) -> None:
     """Reject inadmissible values by building the run (build_run).
 
-    Stated here are only finiteness (a NaN lam or an infinite picard_tol
-    passes the built objects), the integrate input pairing and the delay
-    ladder of converge; every other refusal is build_run's ValueError,
-    raised as a ConfigError.
+    Stated here are only finiteness (a path input leaves keys such as
+    horizon unbuilt), the integrate input pairing and the delay ladder of
+    converge; every other refusal is build_run's ValueError, raised as a
+    ConfigError.
     """
     for name, opt in SCHEMAS[subcommand].items():
         if opt.kind in ("float", "maybe_float") and cfg[name] is not None:

@@ -79,20 +79,11 @@ class TimeGrid:
         return self.n_history * self.h
 
     @property
-    def horizon(self) -> float:
-        return self.t_end
-
-    @property
     def index_of_zero(self) -> int:
         return self.n_history
 
     def times(self) -> np.ndarray:
         return self.t_start + np.arange(self.n_nodes) * self.h
-
-    def time_at(self, index: int) -> float:
-        if not 0 <= index < self.n_nodes:
-            raise GridError(f"node index {index} outside [0, {self.n_nodes})")
-        return self.t_start + index * self.h
 
     def index_of(self, t: float) -> int:
         """Index of the node at time t, snapped by aligned_steps; GridError if none."""
@@ -221,22 +212,6 @@ class SamplePath:
         """Values on [-r, 0] including the node at 0 (read-only view)."""
         return self.values[: self.grid.index_of_zero + 1]
 
-    def value_at_time(self, t: float) -> np.ndarray:
-        return self.values[self.grid.index_of(t)]
-
-    def __add__(self, other: "SamplePath") -> "SamplePath":
-        require_same_grid(self.grid, other.grid)
-        return SamplePath(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "SamplePath") -> "SamplePath":
-        require_same_grid(self.grid, other.grid)
-        return SamplePath(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "SamplePath":
-        return SamplePath(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
     def sup_norm(self) -> float:
         """sup over nodes of the euclidean norm of the value."""
         return float(np.max(_magnitude(self.values, 1)))
@@ -265,10 +240,6 @@ class InitialSegment:
         n = aligned_steps(r, h)
         return cls(h, _sample(eta, -n * h + np.arange(n + 1) * h))
 
-    @classmethod
-    def from_path(cls, path: SamplePath) -> "InitialSegment":
-        return cls(path.grid.h, path.history_values())
-
     @property
     def n_steps(self) -> int:
         return self.values.shape[0] - 1
@@ -283,9 +254,6 @@ class InitialSegment:
 
     def times(self) -> np.ndarray:
         return -self.n_steps * self.h + np.arange(self.n_steps + 1) * self.h
-
-    def value_at_zero(self) -> np.ndarray:
-        return self.values[-1]
 
 
 def shift_by_delay(x: SamplePath, r: float) -> SamplePath:

@@ -2,16 +2,15 @@
 
 The Young integral is a left-point sum: no higher-order correction terms,
 so the integral is causal and agrees with the explicit stepping scheme.
-The drift integral evaluates a hereditary functional of the path
-restricted to [-r, t], which is all a drift is ever shown.
+A drift reads the path restricted to [-r, t] through a PathWindow, which
+is all a drift is ever shown.
 
-check_nr_bounds and check_sigma_increment_bound verify the two
+nr_bounds_rows and sigma_increment_rows verify the two
 compensated-integral inequalities and the sigma-increment estimate that
 drive the solvability theory, discretized with the same product-linear
 quadrature on both sides so nodewise domination carries over exactly.
-Each is the batch of one of its batch audit, nr_bounds_rows and
-sigma_increment_rows, which audit a batch of scalar paths on one grid
-and report per path.
+Each audits a batch of scalar paths on one grid and reports per path;
+a path audits alone as a batch of one, with the same bits.
 """
 from __future__ import annotations
 
@@ -35,13 +34,10 @@ __all__ = [
     "IntegralResult",
     "PathWindow",
     "young_integral",
-    "drift_integral",
     "NrBoundsReport",
     "nr_bounds_rows",
-    "check_nr_bounds",
     "SigmaIncrementReport",
     "sigma_increment_rows",
-    "check_sigma_increment_bound",
     "left_point_accumulate",
 ]
 
@@ -159,28 +155,6 @@ class PathWindow:
         np.maximum(self._sup, self.current, out=self._sup)
 
 
-def drift_integral(
-    b: Callable[[np.ndarray, PathWindow], np.ndarray],
-    x: SamplePath,
-) -> SamplePath:
-    """F(t) = int_0^t b(s, x restricted to [-r, s]) ds by left-point sums.
-
-    b is called once, with the (n_main, 1) front times and a PathWindow
-    over every main front, and returns (n_main, d).  Returns the
-    cumulative drift on the main [0, T] grid, starting at 0.
-    """
-    g = x.grid
-    times = g.times()
-    fronts = np.arange(g.index_of_zero, g.index_of_zero + g.n_main)
-    window = PathWindow(x.values, fronts)
-    evals = np.asarray(b(times[fronts, None], window), dtype=float)
-    if evals.shape != (g.n_main, x.dim):
-        raise GridMismatchError(f"drift returned {evals.shape}, expected ({g.n_main}, {x.dim})")
-    out = np.zeros((g.n_main + 1, x.dim))
-    np.cumsum(evals * g.h, axis=0, out=out[1:])
-    return SamplePath(g.main_only(), out)
-
-
 @dataclass(frozen=True)
 class NrBoundsReport:
     """Nodewise audit of the two compensated-integral inequalities.
@@ -211,14 +185,15 @@ def _scalar_rows(f: np.ndarray, g: np.ndarray, audit: str) -> tuple[np.ndarray, 
 
 
 def nr_bounds_rows(f: np.ndarray, g: np.ndarray, alpha: float, h: float) -> list[NrBoundsReport]:
-    """check_nr_bounds of every path of a batch against its own driver.
+    """Audit |G(f)(t)| and its alpha-integral against the driver bounds, per path.
 
     f and g are scalar main-segment values of one shape (..., n_nodes, 1)
-    on one [0, T] grid of step h.  Returns one report per path, in the
-    batch's C order; each equals the path's own check_nr_bounds bit for
-    bit.  A node whose slack is not finite and within quadrature_slack
-    counts as a violation, and a path or driver with a non-finite node
-    fits c_alpha = NaN.
+    on one [0, T] grid of step h, and G(f) is the left-point Young
+    integral of each path f against its own driver g.  Returns one report
+    per path, in the batch's C order; each equals the path's batch of one
+    bit for bit.  A node whose slack is not finite and within
+    quadrature_slack counts as a violation, and a path or driver with a
+    non-finite node fits c_alpha = NaN.
     """
     fv, gv = _scalar_rows(f, g, "nr_bounds_rows")
     finite = np.isfinite(fv).all(axis=1) & np.isfinite(gv).all(axis=1)
@@ -252,19 +227,6 @@ def nr_bounds_rows(f: np.ndarray, g: np.ndarray, alpha: float, h: float) -> list
     ]
 
 
-def check_nr_bounds(f: SamplePath, g: SamplePath, alpha: float) -> NrBoundsReport:
-    """Audit |G(f)(t)| and its alpha-integral against the driver bounds.
-
-    Scalar f and g on a shared [0, T] grid.  G(f) is the left-point
-    Young integral of f against g.  The batch of one of nr_bounds_rows.
-    """
-    fm, gm = main_segment(f), main_segment(g)
-    require_same_grid(fm.grid, gm.grid)
-    if fm.dim != 1 or gm.dim != 1:
-        raise GridMismatchError("check_nr_bounds expects scalar paths")
-    return nr_bounds_rows(fm.values, gm.values, alpha, fm.grid.h)[0]
-
-
 @dataclass(frozen=True)
 class SigmaIncrementReport:
     """Audit of the three-term bound on sigma increments along two paths."""
@@ -291,14 +253,21 @@ def sigma_increment_rows(
     m0: float,
     mn: float,
 ) -> list[SigmaIncrementReport]:
-    """check_sigma_increment_bound of every pair of paths of two batches.
+    """Nodewise check of the composed-increment inequality, per pair of paths.
 
     f and h_path are scalar main-segment values of one shape
-    (..., n_nodes, 1) on one [0, T] grid of step `step`, and sigma is
-    called once per batch, over the column of node times.  Returns one
-    report per pair, in the batch's C order; each equals the pair's own
-    check_sigma_increment_bound bit for bit.  A node whose slack is not
-    finite and within quadrature_slack counts as a violation.
+    (..., n_nodes, 1) on one [0, T] grid of step `step`.  sigma has the
+    CoefficientSet form (t, x[..., 1]) -> (..., 1, 1) and is called once
+    per batch, over the column of node times.  For each pair f, h and
+    every node t:
+      int_0^t |sig(t,f(t)) - sig(s,f(s)) - sig(t,h(t)) + sig(s,h(s))| (t-s)^(-a-1) ds
+    against
+      m0 * (same integral of f - h)
+      + m0/(beta-alpha) * |f(t)-h(t)| * t^(beta-alpha)
+      + mn * |f(t)-h(t)| * (delta-increment integrals of f and of h).
+    Returns one report per pair, in the batch's C order; each equals the
+    pair's batch of one bit for bit.  A node whose slack is not finite and
+    within quadrature_slack counts as a violation.
     """
     if not alpha < beta:
         raise ValueError(f"needs alpha < beta, got alpha={alpha}, beta={beta}")
@@ -325,34 +294,3 @@ def sigma_increment_rows(
         SigmaIncrementReport(alpha, beta, delta, worst, n)
         for worst, n in zip(np.max(slack, axis=1).tolist(), nviol.tolist())
     ]
-
-
-def check_sigma_increment_bound(
-    sigma: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    f: SamplePath,
-    h_path: SamplePath,
-    alpha: float,
-    beta: float,
-    delta: float,
-    m0: float,
-    mn: float,
-) -> SigmaIncrementReport:
-    """Nodewise check of the composed-increment inequality.
-
-    sigma has the CoefficientSet form (t, x[..., 1]) -> (..., 1, 1) and is
-    called once per path, over the column of node times.  For scalar
-    paths f, h and every node t:
-      int_0^t |sig(t,f(t)) - sig(s,f(s)) - sig(t,h(t)) + sig(s,h(s))| (t-s)^(-a-1) ds
-    against
-      m0 * (same integral of f - h)
-      + m0/(beta-alpha) * |f(t)-h(t)| * t^(beta-alpha)
-      + mn * |f(t)-h(t)| * (delta-increment integrals of f and of h).
-    The batch of one of sigma_increment_rows.
-    """
-    fm, hm = main_segment(f), main_segment(h_path)
-    require_same_grid(fm.grid, hm.grid)
-    if fm.dim != 1 or hm.dim != 1:
-        raise GridMismatchError("check_sigma_increment_bound expects scalar paths")
-    return sigma_increment_rows(
-        sigma, fm.values, hm.values, fm.grid.h, alpha, beta, delta, m0, mn
-    )[0]

@@ -49,7 +49,6 @@ from ._singular import (
     cumulative_from_zero,
     hat_weights,
     holder_seminorm,
-    lag_sups,
 )
 from .grids import SamplePath, main_segment
 
@@ -64,7 +63,6 @@ __all__ = [
     "norm_1ma_infty_T",
     "norm_alpha_1",
     "delta_r",
-    "estimate_holder_exponent",
     "NormReport",
     "compute_norm_report",
 ]
@@ -265,24 +263,6 @@ def delta_r(
     check_delta_window(alpha, delta)
     s0 = f.grid.history_start(r)
     return float(backward_increment_sups(f.values, alpha + 1.0, f.grid.h, delta=delta, start=s0))
-
-
-def estimate_holder_exponent(f: SamplePath) -> float:
-    """Least-squares slope of log sup-increment against log lag.
-
-    A rough diagnostic of the Hoelder regularity of a sampled path, used
-    to sanity-check drivers; dyadic lags up to a quarter of the grid.
-    A path with a non-finite node raises ValueError.
-    """
-    if not np.isfinite(f.values).all():
-        raise ValueError("a node of the path is non-finite: cannot estimate exponent")
-    lags = 1 << np.arange(max((f.values.shape[0] - 1) // 4, 1).bit_length())
-    sups = lag_sups(f.values, lags)
-    live = sups > 0
-    if np.count_nonzero(live) < 2:
-        raise ValueError("path too short or constant: cannot estimate exponent")
-    slope = np.polyfit(np.log(lags[live] * f.grid.h), np.log(sups[live]), 1)[0]
-    return float(slope)
 
 
 @dataclass(frozen=True)

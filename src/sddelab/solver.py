@@ -87,9 +87,8 @@ class CoefficientSet:
     The drift b(t, window) reads the paths on [-r, t] through a
     PathWindow: window.current and the running max window.sup(), (..., d)
     per front and row; a pointwise drift b(t, X(t)) reads only current.
-    It is called once per Picard iteration (all main fronts), once per
-    drift_integral call and once per Euler step of euler_paths (one
-    advancing window over the whole batch).
+    It is called once per Picard iteration (all main fronts) and once per
+    Euler step of euler_paths (one advancing window over the whole batch).
     The constants:
 
     m0    space-Lipschitz and time-Hoelder constant of sigma
@@ -135,16 +134,6 @@ class CoefficientSet:
     def b0_at(self, t: float) -> float:
         return 0.0 if self.b0 is None else float(self.b0(t))
 
-    def b0_norm(self, alpha: float, T: float) -> float:
-        """L^(1/alpha) norm of b0 over [0, T], by adaptive quadrature."""
-        if self.b0 is None:
-            return 0.0
-        from scipy.integrate import quad
-
-        p = 1.0 / alpha
-        val, _ = quad(lambda s: abs(self.b0(s)) ** p, 0.0, T, limit=200)
-        return float(val ** alpha)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -162,10 +151,10 @@ class SolverConfig:
         _check_alpha(self.alpha)
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be euler or picard, got {self.scheme!r}")
-        if self.lam is not None and self.lam < 1:
-            raise ValueError(f"lambda must be >= 1, got {self.lam}")
-        if self.picard_tol <= 0 or self.picard_max_iter < 1:
-            raise ValueError("picard_tol must be > 0 and picard_max_iter >= 1")
+        if self.lam is not None and not 1 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and >= 1, got {self.lam}")
+        if not 0 < self.picard_tol < math.inf or self.picard_max_iter < 1:
+            raise ValueError("picard_tol must be finite and > 0 and picard_max_iter >= 1")
         if self.picard_init not in ("constant", "euler"):
             raise ValueError(f"picard_init must be constant or euler, got {self.picard_init!r}")
         if self.hurst is not None:
@@ -693,15 +682,6 @@ class RegimeReport:
     pathwise: bool
     moment: bool
     rho_ok: bool
-
-    def describe(self) -> str:
-        h_part = "H unknown" if self.hurst is None else f"H = {self.hurst:g}"
-        return (
-            f"alpha = {self.alpha:g} ({h_part}): alpha0 = {self.alpha0:g}, "
-            f"pathwise regime {'yes' if self.pathwise else 'no'}, "
-            f"moment regime (cap {self.moment_cap:g}) {'yes' if self.moment else 'no'}, "
-            f"rho admissible {'yes' if self.rho_ok else 'no'}"
-        )
 
 
 def regime_report(coeffs: CoefficientSet, alpha: float, hurst: float | None = None) -> RegimeReport:

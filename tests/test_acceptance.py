@@ -217,7 +217,7 @@ def test_criterion_6_solver_exactness_refinement_and_uniqueness():
     from_const = solve_picard(coeffs, eta_d, g_d, SolverConfig(picard_init="constant", **base))
     from_euler = solve_picard(coeffs, eta_d, g_d, SolverConfig(picard_init="euler", **base))
     assert from_const.lam == from_euler.lam
-    diff = from_const.path - from_euler.path
+    diff = SamplePath(grid_d, from_const.path.values - from_euler.path.values)
     assert norm_alpha_lambda(diff, ALPHA, from_const.lam, r=grid_d.r) <= 2e-8
 
 

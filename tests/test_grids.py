@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sddelab import _singular
-from sddelab.grids import ALIGNMENT_TOL, FLOAT_FORMAT, aligned_steps, atomic_open
+from sddelab.grids import ALIGNMENT_TOL, FLOAT_FORMAT, aligned_steps, atomic_open, require_same_grid
 from sddelab import (
     DelayAlignmentError,
     GridError,
@@ -33,7 +33,7 @@ def test_make_grid_basic_layout():
     assert grid.n_nodes == 11
     assert grid.index_of_zero == 2
     assert grid.r == pytest.approx(0.25)
-    assert grid.horizon == 1.0
+    assert grid.t_end == 1.0
     times = grid.times()
     assert times[0] == pytest.approx(-0.25)
     assert times[-1] == pytest.approx(1.0)
@@ -76,8 +76,8 @@ def test_non_finite_horizons_and_delays_are_grid_errors(bad):
 
 def test_index_of_roundtrip():
     grid = make_grid(1.0, 16, 0.5)
-    for k in range(grid.n_nodes):
-        assert grid.index_of(grid.time_at(k)) == k
+    for k, t in enumerate(grid.times()):
+        assert grid.index_of(t) == k
     with pytest.raises(GridError):
         grid.index_of(0.03)
 
@@ -120,7 +120,7 @@ def test_sample_path_from_function_and_views():
     assert np.allclose(path.values[:, 0], 2.0 * grid.times())
     assert path.main_values().shape == (grid.n_main + 1, 1)
     assert path.history_values().shape == (grid.n_history + 1, 1)
-    assert np.allclose(path.value_at_time(0.5), [1.0])
+    assert np.allclose(path.values[grid.index_of(0.5)], [1.0])
 
 
 def test_sample_path_values_are_read_only():
@@ -131,16 +131,15 @@ def test_sample_path_values_are_read_only():
 
 
 def test_sample_path_arithmetic_and_grid_guard():
+    # paths combine through their values, on a grid require_same_grid admits
     grid = make_grid(1.0, 8)
     f = SamplePath.from_function(grid, lambda t: t)
     g = SamplePath.from_function(grid, lambda t: 1.0 - t)
-    assert np.allclose((f + g).values, 1.0)
-    assert np.allclose((f - f).values, 0.0)
-    assert np.allclose((f * 3.0).values, 3.0 * f.values)
-    assert (f - g).sup_norm() == pytest.approx(1.0)
-    other = SamplePath.from_function(make_grid(1.0, 16), lambda t: t)
-    with pytest.raises(GridMismatchError):
-        _ = f + other
+    require_same_grid(f.grid, g.grid)
+    assert SamplePath(grid, f.values - g.values).sup_norm() == pytest.approx(1.0)
+    for other in (make_grid(1.0, 16), make_grid(2.0, 8), make_grid(1.0, 8, 0.125)):
+        with pytest.raises(GridMismatchError, match="do not share a main-segment grid"):
+            require_same_grid(grid, other)
 
 
 def test_a_csv_round_trip_subtracts_from_its_source_to_zero():
@@ -148,15 +147,16 @@ def test_a_csv_round_trip_subtracts_from_its_source_to_zero():
     x = SamplePath.from_function(make_grid(1.0, 3, 2.0 / 3.0), lambda t: np.sin(3.0 * t))
     back = read_path_csv(io.StringIO(path_text(x)))
     assert back.grid != x.grid
-    assert np.array_equal((back - x).values, np.zeros_like(x.values))
-    assert np.array_equal((x + back).values, 2.0 * x.values)
+    require_same_grid(back.grid, x.grid)
+    require_same_grid(x.grid, back.grid)
+    assert np.array_equal(back.values - x.values, np.zeros_like(x.values))
 
 
 def test_initial_segment_from_function():
     eta = InitialSegment.from_function(lambda t: 1.0 + t, 0.5, 0.125)
     assert eta.n_steps == 4
     assert eta.r == pytest.approx(0.5)
-    assert np.allclose(eta.value_at_zero(), [1.0])
+    assert np.allclose(eta.values[-1], [1.0])
     assert np.allclose(eta.times(), [-0.5, -0.375, -0.25, -0.125, 0.0])
     assert np.allclose(eta.values[:, 0], 1.0 + eta.times())
 
@@ -193,15 +193,7 @@ def test_a_per_node_value_of_two_dimensions_is_a_grid_error():
 def test_initial_segment_zero_delay_is_a_point():
     eta = InitialSegment.from_function(lambda t: 3.0, 0.0, 0.125)
     assert eta.n_steps == 0
-    assert np.allclose(eta.value_at_zero(), [3.0])
-
-
-def test_initial_segment_from_path_keeps_history_and_zero_node():
-    grid = make_grid(1.0, 8, 0.25)
-    path = SamplePath.from_function(grid, lambda t: t * t)
-    eta = InitialSegment.from_path(path)
-    assert eta.n_steps == grid.n_history
-    assert np.allclose(eta.values[:, 0], grid.times()[: grid.n_history + 1] ** 2)
+    assert np.allclose(eta.values[-1], [3.0])
 
 
 def test_shift_by_delay_ramp():

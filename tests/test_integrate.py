@@ -12,9 +12,6 @@ from sddelab import (
     GridMismatchError,
     PathWindow,
     SamplePath,
-    check_nr_bounds,
-    check_sigma_increment_bound,
-    drift_integral,
     generate_fbm,
     left_point_accumulate,
     lambda_alpha,
@@ -51,7 +48,7 @@ def test_integral_is_linear_in_the_integrand(rough_driver):
     grid = rough_driver.grid
     f1 = SamplePath.from_function(grid, lambda t: np.sin(t))
     f2 = SamplePath.from_function(grid, lambda t: t * t)
-    combo = f1 * 2.0 + f2 * (-3.0)
+    combo = SamplePath(grid, 2.0 * f1.values - 3.0 * f2.values)
     lhs = young_integral(combo, rough_driver).path.values
     rhs = (
         2.0 * young_integral(f1, rough_driver).path.values
@@ -64,7 +61,7 @@ def test_integral_is_additive_in_the_driver(rough_driver):
     grid = rough_driver.grid
     g2 = generate_fbm(grid, FbmConfig(hurst=0.8, seed=21))
     f = SamplePath.from_function(grid, lambda t: 1.0 + t)
-    lhs = young_integral(f, rough_driver + g2).path.values
+    lhs = young_integral(f, SamplePath(grid, rough_driver.values + g2.values)).path.values
     rhs = (
         young_integral(f, rough_driver).path.values
         + young_integral(f, g2).path.values
@@ -185,24 +182,25 @@ def test_an_advanced_window_equals_a_fresh_window_at_every_node(shape, data):
             w.sup()[0] = 1.0
 
 
-def test_drift_integral_is_the_left_point_sum():
-    grid = make_grid(1.0, 64, 0.25)
-    x = SamplePath.from_function(grid, lambda t: t)
-    out = drift_integral(lambda t, w: w.current, x)
-    # exact discrete oracle: cumulative left-point sums of s_k * h
-    s = grid.times()[grid.index_of_zero: -1]
-    oracle = np.concatenate(([0.0], np.cumsum(s * grid.h)))
-    assert np.allclose(out.values[:, 0], oracle, atol=1e-15)
-    # and it converges to t^2/2 at first order
-    assert abs(out.values[-1, 0] - 0.5) == pytest.approx(grid.h / 2, rel=1e-10)
-
-
-def test_drift_integral_sees_the_history_through_the_window():
+def test_a_window_over_every_main_front_sees_the_history():
     grid = make_grid(1.0, 16, 0.5)
     x = SamplePath.from_function(grid, lambda t: -t)
+    fronts = np.arange(grid.index_of_zero, grid.index_of_zero + grid.n_main)
+    w = PathWindow(x.values, fronts)
     # sup over the whole past of a decreasing path sits at the history start
-    out = drift_integral(lambda t, w: w.sup(), x)
-    assert np.allclose(out.values[:, 0], 0.5 * out.times())
+    assert np.array_equal(w.sup(), np.full((grid.n_main, 1), 0.5))
+    assert np.array_equal(w.current, x.values[fronts])
+
+
+def nr_audit(f, g):
+    """The NR audit of one scalar path against its driver: a batch of one."""
+    return nr_bounds_rows(f.main_values(), g.main_values(), ALPHA, f.grid.h)[0]
+
+
+def sigma_audit(sigma, f, h, **constants):
+    """The sigma-increment audit of one pair of scalar paths: a batch of one."""
+    return sigma_increment_rows(sigma, f.main_values(), h.main_values(), f.grid.h, ALPHA,
+                                **constants)[0]
 
 
 def test_nr_bounds_hold_on_driver_pairs():
@@ -210,7 +208,7 @@ def test_nr_bounds_hold_on_driver_pairs():
     for seed in range(5):
         g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=seed))
         f = SamplePath(grid, np.sin(g.values))
-        rep = check_nr_bounds(f, g, ALPHA)
+        rep = nr_audit(f, g)
         assert rep.n_violations_sup == 0
         assert rep.worst_slack_sup <= 0.0 or rep.worst_slack_sup < 1e-8
         assert np.isfinite(rep.fitted_c_alpha)
@@ -220,8 +218,8 @@ def test_nr_bounds_hold_on_driver_pairs():
 def test_nr_bounds_require_scalar_paths(rough_driver):
     grid = rough_driver.grid
     two = generate_fbm(grid, FbmConfig(hurst=0.75, dim=2, seed=0))
-    with pytest.raises(GridMismatchError):
-        check_nr_bounds(two, rough_driver, ALPHA)
+    with pytest.raises(GridMismatchError, match="scalar paths"):
+        nr_bounds_rows(two.values, rough_driver.values, ALPHA, grid.h)
     with pytest.raises(GridMismatchError, match="scalar paths"):
         nr_bounds_rows(two.values, two.values, ALPHA, grid.h)
     with pytest.raises(GridMismatchError, match="scalar paths"):
@@ -234,7 +232,7 @@ def test_nr_bounds_flag_a_non_finite_node(where, bad):
     g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=1))
     values = {"f": np.sin(g.values), "g": g.values.copy()}
     values[where][20, 0] = bad
-    rep = check_nr_bounds(SamplePath(grid, values["f"]), SamplePath(grid, values["g"]), ALPHA)
+    rep = nr_audit(SamplePath(grid, values["f"]), SamplePath(grid, values["g"]))
     assert rep.n_violations_sup > 0
     assert not rep.ok
     assert math.isnan(rep.worst_slack_sup)
@@ -254,18 +252,18 @@ def test_audits_flag_non_finite_nodes_without_a_warning():
             values = {k: v.copy() for k, v in clean.items()}
             values[where][list(nodes), 0] = list(nodes.values())
             f, h = SamplePath(grid, values["f"]), SamplePath(grid, values["g"])
-            nr = check_nr_bounds(f, h, ALPHA)
+            nr = nr_audit(f, h)
             assert nr.n_violations_sup > 0 and math.isnan(nr.fitted_c_alpha), (nodes, where)
             for fn in (np.sin, np.tanh):
-                sigma = check_sigma_increment_bound(
-                    lambda t, x: fn(x)[..., None], f, h, ALPHA, 1.0, 1.0, 1.0, 1.0
+                sigma = sigma_audit(
+                    lambda t, x: fn(x)[..., None], f, h, beta=1.0, delta=1.0, m0=1.0, mn=1.0
                 )
                 assert sigma.n_violations > 0, (nodes, where, fn)
 
 
 def test_nr_bounds_of_a_zero_integrand_are_exactly_zero(rough_driver):
     zero = SamplePath(rough_driver.grid, np.zeros_like(rough_driver.values))
-    rep = check_nr_bounds(zero, rough_driver, ALPHA)
+    rep = nr_audit(zero, rough_driver)
     assert rep.lambda_alpha == lambda_alpha(rough_driver, ALPHA)
     assert (rep.worst_slack_sup, rep.n_violations_sup, rep.fitted_c_alpha) == (0.0, 0, 0.0)
 
@@ -276,9 +274,9 @@ def test_sigma_increment_bound_flags_a_nan_node():
     g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=4))
     bad = f.values.copy()
     bad[20, 0] = np.nan
-    rep = check_sigma_increment_bound(
+    rep = sigma_audit(
         lambda t, x: np.sin(x)[..., None], SamplePath(grid, bad), g,
-        ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=1.0,
+        beta=1.0, delta=1.0, m0=1.0, mn=1.0,
     )
     assert rep.n_violations > 0
     assert not rep.ok
@@ -286,6 +284,7 @@ def test_sigma_increment_bound_flags_a_nan_node():
 
 
 def test_batched_audits_equal_per_path_audits_across_row_blocks(monkeypatch):
+    # each path of a batch audits bit-equal to the path alone, a batch of one
     grid = make_grid(1.0, 64)
     cfg = FbmConfig(hurst=0.75, seed=11)
     g = np.stack([generate_fbm(grid, cfg, index=i).values for i in range(7)])
@@ -298,19 +297,15 @@ def test_batched_audits_equal_per_path_audits_across_row_blocks(monkeypatch):
     def sigma(t, x):
         return np.sin(x)[..., None]
 
-    def audits(rows):
+    def audits(rows, drivers):
         return (
-            nr_bounds_rows(rows, g, ALPHA, grid.h),
-            sigma_increment_rows(sigma, rows, g, grid.h, ALPHA, 1.0, 0.5, 1.0, 1.0),
+            nr_bounds_rows(rows, drivers, ALPHA, grid.h),
+            sigma_increment_rows(sigma, rows, drivers, grid.h, ALPHA, 1.0, 0.5, 1.0, 1.0),
         )
 
-    clean, poisoned = audits(f), audits(bad)
+    clean, poisoned = audits(f, g), audits(bad, g)
     for k in range(7):
-        fk, gk = SamplePath(grid, bad[k]), SamplePath(grid, g[k])
-        alone = (
-            check_nr_bounds(fk, gk, ALPHA),
-            check_sigma_increment_bound(sigma, fk, gk, ALPHA, 1.0, 0.5, 1.0, 1.0),
-        )
+        alone = [reports[0] for reports in audits(bad[k], g[k])]
         for batch, one, whole in zip(poisoned, alone, clean):
             if k == 2:
                 assert not batch[k].ok and not one.ok
@@ -326,9 +321,7 @@ def test_sigma_increment_bound_linear_case_is_tight(rough_driver):
     hpath = shift_by_delay(
         SamplePath.from_function(make_grid(1.0, 512, 0.25), lambda t: np.cos(t)), 0.25
     )
-    rep = check_sigma_increment_bound(
-        lambda t, x: x[..., None], f, hpath, ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=0.0
-    )
+    rep = sigma_audit(lambda t, x: x[..., None], f, hpath, beta=1.0, delta=1.0, m0=1.0, mn=0.0)
     assert rep.n_violations == 0
 
 
@@ -336,9 +329,7 @@ def test_sigma_increment_bound_smooth_nonlinear_case():
     grid = make_grid(1.0, 256)
     f = generate_fbm(grid, FbmConfig(hurst=0.75, seed=3))
     g = generate_fbm(grid, FbmConfig(hurst=0.75, seed=4))
-    rep = check_sigma_increment_bound(
-        lambda t, x: np.sin(x)[..., None], f, g, ALPHA, beta=1.0, delta=1.0, m0=1.0, mn=1.0
-    )
+    rep = sigma_audit(lambda t, x: np.sin(x)[..., None], f, g, beta=1.0, delta=1.0, m0=1.0, mn=1.0)
     assert rep.n_violations == 0
     assert rep.alpha == ALPHA
     assert rep.ok

@@ -23,6 +23,10 @@ default_delays evaluate_convergence_gates fernique_statistics lp_convergence_stu
 pathwise_convergence_study rate_fit
 """.split()
 
+#: the names of EARLIER_SURFACE since deleted, with the code they named
+REMOVED = {"check_nr_bounds", "check_sigma_increment_bound", "drift_integral",
+           "estimate_holder_exponent"}
+
 
 def test_the_package_exports_each_module_list_once():
     names = sddelab.__all__
@@ -36,5 +40,7 @@ def test_the_package_exports_each_module_list_once():
             obj = getattr(mod, name)
             assert getattr(sddelab, name) is obj, name
             assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
-    assert set(EARLIER_SURFACE) <= set(names)
+    assert REMOVED <= set(EARLIER_SURFACE)
+    assert set(EARLIER_SURFACE) - REMOVED <= set(names)
+    assert not [name for name in REMOVED if any(hasattr(m, name) for m in (sddelab, *MODULES))]
     assert len(EARLIER_SURFACE) == 72

@@ -343,7 +343,7 @@ def test_two_starting_points_land_on_the_same_fixed_point():
     )
     # each run stops within picard_tol of the fixed point in the weighted
     # norm it contracts in, so the two ends are within 2 tol of each other
-    diff = from_const.path - from_euler.path
+    diff = SamplePath(grid, from_const.path.values - from_euler.path.values)
     gap = norm_alpha_lambda(diff, ALPHA, from_const.lam, r=grid.r)
     assert from_const.lam == from_euler.lam
     assert gap <= 2.0 * 1e-8
@@ -641,13 +641,6 @@ def test_coefficient_set_rejects_bad_constants():
         )
 
 
-def test_baseline_drift_norm():
-    coeffs = dataclasses.replace(coefficient_preset("additive"), b0=lambda t: 1.0)
-    # || 1 ||_{L^{1/alpha}[0,1]} = 1 for any alpha
-    assert coeffs.b0_norm(ALPHA, 1.0) == pytest.approx(1.0, rel=1e-8)
-    assert coefficient_preset("additive").b0_norm(ALPHA, 1.0) == 0.0
-
-
 def test_regime_report_flags():
     rep = regime_report(coefficient_preset("sine"), ALPHA, hurst=HURST)
     assert rep.alpha0 == pytest.approx(0.5)
@@ -658,7 +651,6 @@ def test_regime_report_flags():
     # gamma = 1 tightens the moment cap but 0.3 still clears it
     rep_lin = regime_report(coefficient_preset("linear"), ALPHA, hurst=HURST)
     assert rep_lin.moment_cap == pytest.approx(0.5)
-    assert "pathwise regime yes" in rep.describe()
 
 
 def test_a_priori_bound_covers_a_batch():
@@ -715,3 +707,11 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.2, grid=grid, hurst=0.75)
     with pytest.raises(ValueError):
         SolverConfig(alpha=ALPHA, grid=grid, scheme="runge-kutta")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["lam", "picard_tol"])
+def test_solver_config_refuses_a_non_finite_weight_or_tolerance(key, bad):
+    # NaN and inf pass an ordering check such as lam < 1, so finiteness is its own rule
+    with pytest.raises(ValueError, match="must be finite"):
+        SolverConfig(alpha=ALPHA, grid=make_grid(1.0, 64), **{key: bad})
